@@ -41,19 +41,6 @@ Channel::bankIndex(const AddrVec &vec) const
 }
 
 bool
-Channel::rowOpen(const AddrVec &vec) const
-{
-    const BankState &b = banks_[bankIndex(vec)];
-    return b.active && b.open_row == vec.row;
-}
-
-bool
-Channel::bankActive(const AddrVec &vec) const
-{
-    return banks_[bankIndex(vec)].active;
-}
-
-bool
 Channel::rankAllPrecharged(uint32_t rank) const
 {
     const size_t base = static_cast<size_t>(rank) * org_.banksPerRank();
@@ -63,60 +50,53 @@ Channel::rankAllPrecharged(uint32_t rank) const
     return true;
 }
 
-bool
-Channel::canIssue(Cmd cmd, const AddrVec &vec, Cycles now) const
+Cycles
+Channel::earliestIssue(Cmd cmd, const AddrVec &vec, size_t bank_idx) const
 {
-    const BankState &bank = banks_[bankIndex(vec)];
+    const BankState &bank = banks_[bank_idx];
     const RankState &rank = ranks_[vec.rank];
 
     switch (cmd) {
       case Cmd::Act: {
         if (bank.active)
-            return false; // must precharge first
-        if (now < bank.next_act || now < rank.next_act ||
-            now < rank.next_act_bg[vec.bankgroup]) {
-            return false;
-        }
+            return kNever; // must precharge first
+        Cycles at = std::max({bank.next_act, rank.next_act,
+                              rank.next_act_bg[vec.bankgroup]});
         // Four-activate window: the 4th-previous ACT must be at least
         // tFAW cycles ago.
-        if (rank.act_window.size() >= 4 &&
-            now < rank.act_window.front() + timing_.tfaw) {
-            return false;
-        }
-        return true;
+        if (rank.act_window.size() >= 4)
+            at = std::max(at, rank.act_window.front() + timing_.tfaw);
+        return at;
       }
       case Cmd::Pre:
-        return bank.active && now >= bank.next_pre;
+        return bank.active ? bank.next_pre : kNever;
       case Cmd::Rd:
       case Cmd::Wr: {
         if (!bank.active || bank.open_row != vec.row)
-            return false;
-        if (now < bank.next_rdwr)
-            return false;
-        if (cmd == Cmd::Rd && (now < rank.next_rd ||
-                               now < rank.next_rd_bg[vec.bankgroup])) {
-            return false;
-        }
-        if (cmd == Cmd::Wr && (now < rank.next_wr ||
-                               now < rank.next_wr_bg[vec.bankgroup])) {
-            return false;
-        }
+            return kNever;
+        const bool rd = cmd == Cmd::Rd;
+        Cycles at = std::max({bank.next_rdwr,
+                              rd ? rank.next_rd : rank.next_wr,
+                              rd ? rank.next_rd_bg[vec.bankgroup]
+                                 : rank.next_wr_bg[vec.bankgroup]});
         // Shared data bus: the new burst must start after the previous one
         // drains (plus a rank-switch bubble when changing ranks).
-        const Cycles data_start =
-            now + (cmd == Cmd::Rd ? timing_.cl : timing_.cwl);
         Cycles bus_ready = bus_free_;
         if (last_bus_rank_ >= 0 &&
             static_cast<uint32_t>(last_bus_rank_) != vec.rank) {
             bus_ready += timing_.trtrs;
         }
-        return data_start >= bus_ready;
+        const Cycles latency = rd ? timing_.cl : timing_.cwl;
+        if (bus_ready > latency)
+            at = std::max(at, bus_ready - latency);
+        return at;
       }
       case Cmd::Ref:
-        return rankAllPrecharged(vec.rank) && now >= rank.next_ref &&
-               now >= rank.next_act;
+        if (!rankAllPrecharged(vec.rank))
+            return kNever;
+        return std::max(rank.next_ref, rank.next_act);
     }
-    return false;
+    return kNever;
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/stats.h"
@@ -30,19 +31,55 @@ const char *cmdName(Cmd cmd);
 class Channel
 {
   public:
+    /** earliestIssue() result for a command no wait can make legal. */
+    static constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+
     Channel(const Organization &org, const Timing &timing);
 
+    /** Flat index of the addressed bank; panics on bad coordinates. */
+    size_t bankIndex(const AddrVec &vec) const;
+
+    /**
+     * First cycle at which `cmd` targeting `vec` may issue, given the
+     * current bank, rank and bus state; kNever if the bank state rules
+     * it out (ACT to an active bank, PRE to an idle one, RD/WR to a
+     * closed row, REF with a bank open). Every timing rule is a
+     * monotone `now >= bound` test, so the result stays exact until the
+     * next issue() changes the state.
+     */
+    Cycles earliestIssue(Cmd cmd, const AddrVec &vec) const
+    {
+        return earliestIssue(cmd, vec, bankIndex(vec));
+    }
+
+    /** As above, with `bank` == bankIndex(vec) precomputed. */
+    Cycles earliestIssue(Cmd cmd, const AddrVec &vec, size_t bank) const;
+
     /** True iff `cmd` targeting the given coordinates may issue at `now`. */
-    bool canIssue(Cmd cmd, const AddrVec &vec, Cycles now) const;
+    bool canIssue(Cmd cmd, const AddrVec &vec, Cycles now) const
+    {
+        return now >= earliestIssue(cmd, vec);
+    }
 
     /** Issue `cmd`; updates open-row state and all timing tables. */
     void issue(Cmd cmd, const AddrVec &vec, Cycles now);
 
     /** Is the addressed bank active with exactly this row open? */
-    bool rowOpen(const AddrVec &vec) const;
+    bool rowOpen(const AddrVec &vec) const
+    {
+        return rowOpen(bankIndex(vec), vec.row);
+    }
+    bool rowOpen(size_t bank, uint32_t row) const
+    {
+        return banks_[bank].active && banks_[bank].open_row == row;
+    }
 
     /** Is the addressed bank active (any row)? */
-    bool bankActive(const AddrVec &vec) const;
+    bool bankActive(const AddrVec &vec) const
+    {
+        return bankActive(bankIndex(vec));
+    }
+    bool bankActive(size_t bank) const { return banks_[bank].active; }
 
     /** Are all banks of a rank precharged (required before REF)? */
     bool rankAllPrecharged(uint32_t rank) const;
@@ -75,8 +112,6 @@ class Channel
         std::vector<Cycles> next_rd_bg;
         std::vector<Cycles> next_wr_bg;
     };
-
-    size_t bankIndex(const AddrVec &vec) const;
 
     Organization org_;
     Timing timing_;

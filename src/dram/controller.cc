@@ -1,5 +1,7 @@
 #include "dram/controller.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "fault/injector.h"
 
@@ -10,6 +12,7 @@ Controller::Controller(const Organization &org, const Timing &timing,
     : org_(org), cfg_(cfg), channel_(org, timing),
       next_refresh_(org.ranks, timing.trefi),
       refresh_pending_(org.ranks, false),
+      scan_memo_(org.ranks * org.banksPerRank() * 4),
       stats_(std::move(name)),
       reads_(stats_.addCounter("reads", "read requests completed")),
       writes_(stats_.addCounter("writes", "write requests completed")),
@@ -66,20 +69,53 @@ Controller::enqueue(Request req)
     // A controller owns exactly one channel; the decoded channel index is
     // only meaningful to the MemorySystem router above us.
     e.vec.channel = 0;
+    e.bank = channel_.bankIndex(e.vec);
     req.arrive = now_;
     e.req = std::move(req);
-    e.seq = seq_++;
 
     // Classify row-buffer outcome at arrival against current bank state.
-    if (channel_.rowOpen(e.vec))
+    if (channel_.rowOpen(e.bank, e.vec.row))
         ++row_hits_;
-    else if (channel_.bankActive(e.vec))
+    else if (channel_.bankActive(e.bank))
         ++row_conflicts_;
     else
         ++row_misses_;
 
+    wake_at_ = std::min(
+        wake_at_, channel_.earliestIssue(nextCommand(e), e.vec, e.bank));
     queue_.push_back(std::move(e));
     return true;
+}
+
+Cmd
+Controller::nextCommand(const Entry &e) const
+{
+    if (channel_.rowOpen(e.bank, e.vec.row))
+        return e.req.type == ReqType::Read ? Cmd::Rd : Cmd::Wr;
+    return channel_.bankActive(e.bank) ? Cmd::Pre : Cmd::Act;
+}
+
+static_assert(static_cast<int>(Cmd::Act) == 0 &&
+                  static_cast<int>(Cmd::Wr) == 3,
+              "scan_memo_ keeps ACT, PRE, RD and WR per bank");
+
+Cycles
+Controller::earliestIssue(const Entry &e, Cmd cmd)
+{
+    // Requests to one bank that need the same command share the answer.
+    ScanMemo &m = scan_memo_[e.bank * 4 + static_cast<size_t>(cmd)];
+    if (m.scan != scan_) {
+        m.scan = scan_;
+        m.at = channel_.earliestIssue(cmd, e.vec, e.bank);
+    }
+    return m.at;
+}
+
+void
+Controller::issue(Cmd cmd, const AddrVec &vec)
+{
+    channel_.issue(cmd, vec, now_);
+    wake_at_ = 0; // the state changed: the next cycle must scan again
 }
 
 bool
@@ -102,7 +138,7 @@ Controller::serviceRefresh()
                     vec.bank = b;
                     if (channel_.bankActive(vec) &&
                         channel_.canIssue(Cmd::Pre, vec, now_)) {
-                        channel_.issue(Cmd::Pre, vec, now_);
+                        issue(Cmd::Pre, vec);
                         return true; // one command per cycle
                     }
                 }
@@ -110,7 +146,7 @@ Controller::serviceRefresh()
             continue; // waiting on tRAS etc.; other ranks may proceed
         }
         if (channel_.canIssue(Cmd::Ref, vec, now_)) {
-            channel_.issue(Cmd::Ref, vec, now_);
+            issue(Cmd::Ref, vec);
             ++refreshes_;
             refresh_pending_[r] = false;
             next_refresh_[r] = now_ + channel_.timing().trefi;
@@ -123,41 +159,41 @@ Controller::serviceRefresh()
 bool
 Controller::trySchedule()
 {
-    // Pass 1 (FR): oldest request whose row is open and whose column
-    // command can issue right now.
+    if (now_ < wake_at_)
+        return false;
+    // One pass in arrival order. The oldest row hit whose column command
+    // can issue wins outright (FR); failing that, the oldest request whose
+    // PRE or ACT can issue (FCFS). Requests that must wait bound the next
+    // cycle worth scanning.
+    ++scan_;
+    auto fcfs = queue_.end();
+    Cmd fcfs_cmd = Cmd::Act;
+    Cycles wake = Channel::kNever;
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if (refresh_pending_[it->vec.rank])
             continue;
-        const Cmd col_cmd =
-            it->req.type == ReqType::Read ? Cmd::Rd : Cmd::Wr;
-        if (channel_.rowOpen(it->vec) &&
-            channel_.canIssue(col_cmd, it->vec, now_)) {
-            channel_.issue(col_cmd, it->vec, now_);
+        const Cmd cmd = nextCommand(*it);
+        const Cycles at = earliestIssue(*it, cmd);
+        if (at > now_) {
+            wake = std::min(wake, at);
+        } else if (cmd == Cmd::Rd || cmd == Cmd::Wr) {
+            issue(cmd, it->vec);
             const Cycles data_end = now_ +
-                (it->req.type == ReqType::Read
-                     ? channel_.timing().readLatency()
-                     : channel_.timing().writeLatency());
+                (cmd == Cmd::Rd ? channel_.timing().readLatency()
+                                : channel_.timing().writeLatency());
             finishRequest(*it, data_end);
             queue_.erase(it);
             return true;
+        } else if (fcfs == queue_.end()) {
+            fcfs = it;
+            fcfs_cmd = cmd;
         }
     }
-    // Pass 2 (FCFS): oldest request that needs ACT or PRE and can get it.
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (refresh_pending_[it->vec.rank])
-            continue;
-        if (channel_.rowOpen(it->vec))
-            continue; // column command blocked on timing; wait
-        if (channel_.bankActive(it->vec)) {
-            if (channel_.canIssue(Cmd::Pre, it->vec, now_)) {
-                channel_.issue(Cmd::Pre, it->vec, now_);
-                return true;
-            }
-        } else if (channel_.canIssue(Cmd::Act, it->vec, now_)) {
-            channel_.issue(Cmd::Act, it->vec, now_);
-            return true;
-        }
+    if (fcfs != queue_.end()) {
+        issue(fcfs_cmd, fcfs->vec);
+        return true;
     }
+    wake_at_ = wake;
     return false;
 }
 

@@ -111,7 +111,14 @@ class Controller
     {
         Request req;
         AddrVec vec;
-        uint64_t seq;    //!< arrival order for FCFS tie-break
+        size_t bank;     //!< Channel::bankIndex(vec), checked at enqueue
+    };
+
+    /** Earliest issue cycle of one (bank, command), valid for one scan. */
+    struct ScanMemo
+    {
+        uint64_t scan = 0;
+        Cycles at = 0;
     };
 
     struct Completion
@@ -124,6 +131,11 @@ class Controller
     /** @return true if a refresh-related command used this cycle's slot. */
     bool serviceRefresh();
     bool trySchedule();
+    /** The command `e` needs next: RD/WR on a row hit, else PRE or ACT. */
+    Cmd nextCommand(const Entry &e) const;
+    /** Channel::earliestIssue for `e` and `cmd`, memoized per scan. */
+    Cycles earliestIssue(const Entry &e, Cmd cmd);
+    void issue(Cmd cmd, const AddrVec &vec);
     void finishRequest(Entry &entry, Cycles data_end);
 
     Organization org_;
@@ -135,7 +147,14 @@ class Controller
     std::vector<Cycles> next_refresh_;    //!< per rank
     std::vector<bool> refresh_pending_;   //!< per rank
     Cycles now_ = 0;
-    uint64_t seq_ = 0;
+    /**
+     * trySchedule() skips its scan while now_ < wake_at_: no queued
+     * request can issue before then unless an issue or an enqueue
+     * changes the state, and both lower it.
+     */
+    Cycles wake_at_ = 0;
+    uint64_t scan_ = 0;                   //!< trySchedule() scans so far
+    std::vector<ScanMemo> scan_memo_;     //!< [bank * 4 + cmd], ACT..WR
 
     /** Per-class tally target for a classified burst. */
     void tallyClass(fault::Protection cls, uint64_t corrected,

@@ -27,7 +27,9 @@ StreamTransfer::pump(Controller &ctrl)
 {
     if (!started_)
         return;
-    while (issued_ < total_lines_) {
+    // Stop at a full queue before building a request it would reject.
+    while (issued_ < total_lines_ &&
+           ctrl.queueOccupancy() < ctrl.queueDepth()) {
         Request req;
         req.addr = base_ + issued_ * line_bytes_;
         req.type = type_;

@@ -195,6 +195,33 @@ TEST_F(ChannelTiming, RankToRankBusSwitchPenalty)
     EXPECT_TRUE(ch_.canIssue(Cmd::Rd, r1, other_ok));
 }
 
+TEST_F(ChannelTiming, EarliestIssueNamesTheBindingBound)
+{
+    const AddrVec r0 = at(0, 0, 0, 1);
+    const AddrVec r1 = at(1, 0, 0, 1);
+    // Bank state alone rules a command out: no wait makes it legal.
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Pre, r0), Channel::kNever);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Rd, r0), Channel::kNever);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Ref, r0), 0u);
+    ch_.issue(Cmd::Act, r1, 90);
+    ch_.issue(Cmd::Act, r0, 100);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Act, r0), Channel::kNever);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Ref, r0), Channel::kNever);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Wr, at(0, 0, 0, 2)), Channel::kNever);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Rd, r0), 100 + timing_.trcd);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Pre, r0), 100 + timing_.tras);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Act, at(0, 0, 1, 1)),
+              100 + timing_.trrd_l);
+    // Rank 1's tRCD has long passed; the data bus, drained plus the
+    // rank-switch bubble, binds its read.
+    const Cycles rd0 = 100 + timing_.trcd;
+    ch_.issue(Cmd::Rd, r0, rd0);
+    EXPECT_EQ(ch_.earliestIssue(Cmd::Rd, r1),
+              rd0 + timing_.tbl + timing_.trtrs);
+    EXPECT_FALSE(ch_.canIssue(Cmd::Rd, r1, rd0 + timing_.tbl +
+                                               timing_.trtrs - 1));
+}
+
 TEST_F(ChannelTiming, RefreshRequiresAllBanksPrecharged)
 {
     const AddrVec v = at(0, 0, 0, 1);

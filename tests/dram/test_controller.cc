@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <list>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/controller.h"
 #include "fault/injector.h"
 
@@ -430,6 +435,286 @@ TEST_F(ControllerTest, WeakNoneClassSkipsOverheadStrongPays)
     EXPECT_EQ(ctrl_.eccRedundancyReads(), 2u); // 16 bursts / 8
     EXPECT_GT(ctrl_.eccDecodeCyclesCharged(), 0u);
 }
+
+// ---- differential check against a per-cycle reference scheduler ----
+
+/**
+ * Reference FR-FCFS: every cycle, scan the whole queue for the oldest
+ * row hit whose column command can issue, then for the oldest request
+ * whose PRE or ACT can issue, asking Channel::canIssue per request. Its
+ * refresh policy is the Controller's: a rank whose interval elapsed
+ * precharges its banks one PRE per cycle, then takes REF, and its
+ * requests wait meanwhile.
+ */
+class ReferenceFrFcfs
+{
+  public:
+    ReferenceFrFcfs(const Organization &org, const Timing &timing,
+                    size_t depth, size_t requests)
+        : org_(org), depth_(depth), channel_(org, timing),
+          next_refresh_(org.ranks, timing.trefi),
+          refresh_pending_(org.ranks, false)
+    {
+        complete.assign(requests, 0);
+    }
+
+    bool enqueue(uint64_t id, Addr addr, ReqType type)
+    {
+        if (queue_.size() >= depth_)
+            return false;
+        AddrVec vec = mapAddress(addr, org_);
+        vec.channel = 0;
+        if (channel_.rowOpen(vec))
+            ++row_hits;
+        else if (channel_.bankActive(vec))
+            ++row_conflicts;
+        else
+            ++row_misses;
+        queue_.push_back({id, type, vec});
+        return true;
+    }
+
+    void tick()
+    {
+        ++now_;
+        while (!inflight_.empty() && inflight_.top() <= now_)
+            inflight_.pop();
+        if (!serviceRefresh())
+            trySchedule();
+    }
+
+    bool idle() const { return queue_.empty() && inflight_.empty(); }
+    const Channel &channel() const { return channel_; }
+
+    uint64_t row_hits = 0;
+    uint64_t row_misses = 0;
+    uint64_t row_conflicts = 0;
+    uint64_t refreshes = 0;
+    std::vector<Cycles> complete; //!< data-end cycle, by request id
+
+  private:
+    struct Entry
+    {
+        uint64_t id;
+        ReqType type;
+        AddrVec vec;
+    };
+
+    bool serviceRefresh()
+    {
+        for (uint32_t r = 0; r < org_.ranks; ++r) {
+            if (now_ >= next_refresh_[r])
+                refresh_pending_[r] = true;
+            if (!refresh_pending_[r])
+                continue;
+            AddrVec vec;
+            vec.rank = r;
+            if (!channel_.rankAllPrecharged(r)) {
+                for (uint32_t bg = 0; bg < org_.bankgroups; ++bg) {
+                    for (uint32_t b = 0; b < org_.banks; ++b) {
+                        vec.bankgroup = bg;
+                        vec.bank = b;
+                        if (channel_.bankActive(vec) &&
+                            channel_.canIssue(Cmd::Pre, vec, now_)) {
+                            channel_.issue(Cmd::Pre, vec, now_);
+                            return true;
+                        }
+                    }
+                }
+                continue;
+            }
+            if (channel_.canIssue(Cmd::Ref, vec, now_)) {
+                channel_.issue(Cmd::Ref, vec, now_);
+                ++refreshes;
+                refresh_pending_[r] = false;
+                next_refresh_[r] = now_ + channel_.timing().trefi;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void trySchedule()
+    {
+        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+            if (refresh_pending_[it->vec.rank])
+                continue;
+            const bool rd = it->type == ReqType::Read;
+            const Cmd col = rd ? Cmd::Rd : Cmd::Wr;
+            if (channel_.rowOpen(it->vec) &&
+                channel_.canIssue(col, it->vec, now_)) {
+                channel_.issue(col, it->vec, now_);
+                const Cycles data_end =
+                    now_ + (rd ? channel_.timing().readLatency()
+                               : channel_.timing().writeLatency());
+                complete[it->id] = data_end;
+                inflight_.push(data_end);
+                queue_.erase(it);
+                return;
+            }
+        }
+        for (const Entry &e : queue_) {
+            if (refresh_pending_[e.vec.rank] || channel_.rowOpen(e.vec))
+                continue;
+            const Cmd cmd =
+                channel_.bankActive(e.vec) ? Cmd::Pre : Cmd::Act;
+            if (channel_.canIssue(cmd, e.vec, now_)) {
+                channel_.issue(cmd, e.vec, now_);
+                return;
+            }
+        }
+    }
+
+    Organization org_;
+    size_t depth_;
+    Channel channel_;
+    std::list<Entry> queue_;
+    std::priority_queue<Cycles, std::vector<Cycles>, std::greater<>>
+        inflight_;
+    std::vector<Cycles> next_refresh_;
+    std::vector<bool> refresh_pending_;
+    Cycles now_ = 0;
+};
+
+struct DiffParam
+{
+    uint32_t ranks;
+    AddrMapping mapping;
+    uint64_t seed;
+};
+
+struct Traffic
+{
+    Addr addr;
+    ReqType type;
+    Cycles arrive; //!< first cycle the request may be enqueued
+};
+
+/**
+ * Mixed traffic: 60% of requests continue one of four sequential streams
+ * (row hits, and row conflicts where streams share a bank), the rest hit
+ * random lines; 30% are writes. Arrivals alternate every 400 requests
+ * between a burst that all arrives at once, which keeps the queue full,
+ * and a trickle 0-59 cycles apart, which lets it drain and refill.
+ */
+std::vector<Traffic>
+mixedTraffic(const Organization &org, uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    const uint64_t span = org.bytesPerChannel();
+    Addr streams[4];
+    for (Addr &s : streams)
+        s = (rng() % span) & ~Addr{63};
+    std::vector<Traffic> out(n);
+    Cycles at = 0;
+    for (size_t i = 0; i < n; ++i) {
+        Traffic &t = out[i];
+        if (rng.uniform() < 0.6) {
+            Addr &s = streams[rng() % 4];
+            s = (s + 64) % span;
+            t.addr = s;
+        } else {
+            t.addr = (rng() % span) & ~Addr{63};
+        }
+        t.type = rng.uniform() < 0.3 ? ReqType::Write : ReqType::Read;
+        if ((i / 400) % 2 == 1)
+            at += rng() % 60;
+        t.arrive = at;
+    }
+    return out;
+}
+
+/**
+ * Every cycle, enqueue the requests that have arrived until one is
+ * refused, then tick; finally drain. Returns the cycles it took.
+ */
+template <typename Sched, typename Enqueue>
+Cycles
+drive(Sched &sched, const std::vector<Traffic> &traffic, Enqueue enqueue)
+{
+    const Cycles bound = 5'000'000;
+    size_t next = 0;
+    Cycles cycles = 0;
+    while (next < traffic.size() || !sched.idle()) {
+        while (next < traffic.size() && traffic[next].arrive <= cycles &&
+               enqueue(next)) {
+            ++next;
+        }
+        sched.tick();
+        if (++cycles >= bound) {
+            ADD_FAILURE() << "failed to drain";
+            break;
+        }
+    }
+    return cycles;
+}
+
+class ControllerDifferential : public ::testing::TestWithParam<DiffParam>
+{
+};
+
+TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
+{
+    const DiffParam p = GetParam();
+    Organization org = singleRankOrg();
+    org.ranks = p.ranks;
+    org.mapping = p.mapping;
+    const Timing timing = Timing::ddr4_2400();
+    ControllerConfig cfg; // 64-entry queue, refresh on
+    const size_t n = 8000;
+    const std::vector<Traffic> traffic = mixedTraffic(org, p.seed, n);
+
+    std::vector<Cycles> complete(n, 0);
+    Controller ctrl(org, timing, cfg, "diff");
+    const Cycles drained = drive(ctrl, traffic, [&](size_t i) {
+        Request req;
+        req.addr = traffic[i].addr;
+        req.type = traffic[i].type;
+        req.id = i;
+        req.on_complete = [&complete](const Request &r) {
+            complete[r.id] = r.complete;
+        };
+        return ctrl.enqueue(std::move(req));
+    });
+
+    ReferenceFrFcfs ref(org, timing, cfg.queue_depth, n);
+    const Cycles ref_drained = drive(ref, traffic, [&](size_t i) {
+        return ref.enqueue(i, traffic[i].addr, traffic[i].type);
+    });
+
+    for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(complete[i], ref.complete[i]) << "request " << i;
+    }
+    EXPECT_EQ(drained, ref_drained);
+    const StatGroup &st = ctrl.stats();
+    EXPECT_EQ(st.counter("rowHits").value(), ref.row_hits);
+    EXPECT_EQ(st.counter("rowMisses").value(), ref.row_misses);
+    EXPECT_EQ(st.counter("rowConflicts").value(), ref.row_conflicts);
+    EXPECT_EQ(st.counter("refreshes").value(), ref.refreshes);
+    for (Cmd c : {Cmd::Act, Cmd::Pre, Cmd::Rd, Cmd::Wr, Cmd::Ref}) {
+        EXPECT_EQ(ctrl.channel().commandCount(c),
+                  ref.channel().commandCount(c))
+            << cmdName(c);
+    }
+    // The run must reach the paths it exists to cover.
+    EXPECT_GE(ref.refreshes, 2u * p.ranks);
+    EXPECT_GT(ref.row_hits, 0u);
+    EXPECT_GT(ref.row_conflicts, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, ControllerDifferential,
+    ::testing::Values(DiffParam{1, AddrMapping::RoRaBgBaCoCh, 1},
+                      DiffParam{1, AddrMapping::RoRaCoBaBgCh, 2},
+                      DiffParam{2, AddrMapping::RoCoRaBgBaCh, 3},
+                      DiffParam{2, AddrMapping::RoRaBgBaCoCh, 4},
+                      DiffParam{4, AddrMapping::RoRaCoBaBgCh, 5},
+                      DiffParam{4, AddrMapping::RoRaBgBaCoCh, 6}),
+    [](const ::testing::TestParamInfo<DiffParam> &info) {
+        return std::string("r") + std::to_string(info.param.ranks) + "m" +
+               std::to_string(static_cast<int>(info.param.mapping)) +
+               "s" + std::to_string(info.param.seed);
+    });
 
 } // namespace
 } // namespace enmc::dram

@@ -43,9 +43,9 @@ TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
     Rng rng(p.ranks * 131 + p.bankgroups * 17 + p.banks);
     uint64_t issued = 0, completed = 0;
     const uint64_t span = org.bytesPerChannel();
+    Addr stream_addr = 0;
     for (int round = 0; round < 12000; ++round) {
         // Mixture: 60% streaming locality, 40% random.
-        static Addr stream_addr = 0;
         Addr addr;
         if (rng.uniform() < 0.6) {
             stream_addr += 64;
@@ -70,8 +70,9 @@ TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
     EXPECT_EQ(ctrl.stats().counter("reads").value() +
                   ctrl.stats().counter("writes").value(),
               issued);
-    if (p.refresh)
+    if (p.refresh) {
         EXPECT_GT(ctrl.stats().counter("refreshes").value(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -89,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
         StressParam{4, 2, 4, AddrMapping::RoRaCoBaBgCh, false}),
     [](const ::testing::TestParamInfo<StressParam> &info) {
         const auto &p = info.param;
-        return "r" + std::to_string(p.ranks) + "bg" +
+        return std::string("r") + std::to_string(p.ranks) + "bg" +
                std::to_string(p.bankgroups) + "b" +
                std::to_string(p.banks) + "m" +
                std::to_string(static_cast<int>(p.mapping)) +

@@ -561,7 +561,7 @@ INSTANTIATE_TEST_SUITE_P(
         RankSweepParam{4096, 128, 8, tensor::QuantBits::Int4}),
     [](const ::testing::TestParamInfo<RankSweepParam> &info) {
         const auto &p = info.param;
-        return "l" + std::to_string(p.l) + "k" + std::to_string(p.k) +
+        return std::string("l") + std::to_string(p.l) + "k" + std::to_string(p.k) +
                "b" + std::to_string(p.batch) + "q" +
                std::to_string(static_cast<int>(p.quant));
     });

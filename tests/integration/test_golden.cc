@@ -240,7 +240,7 @@ TEST(Golden, Fig13BackendSpeedups)
                 const double t =
                     backend->runJob(name == "enmc" ? enmc_spec : spec)
                         .seconds;
-                golden["w" + std::to_string(wi) + "_b" +
+                golden[std::string("w") + std::to_string(wi) + "_b" +
                        std::to_string(batch) + "_" + name] = base / t;
             }
         }

@@ -226,9 +226,10 @@ TEST(RankPartitionerPolicy, CoversRangeWithContiguousDisjointSlices)
     uint64_t covered = 0;
     for (size_t i = 0; i < slices.size(); ++i) {
         EXPECT_GT(slices[i].rows, 0u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(slices[i].begin,
                       slices[i - 1].begin + slices[i - 1].rows);
+        }
         covered += slices[i].rows;
     }
     EXPECT_EQ(covered, 1000u);

@@ -267,7 +267,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivParam{tensor::QuantBits::Int8, 48, 3},
                       EquivParam{tensor::QuantBits::Int2, 16, 2}),
     [](const ::testing::TestParamInfo<EquivParam> &info) {
-        return "q" +
+        return std::string("q") +
                std::to_string(static_cast<int>(info.param.quant)) + "m" +
                std::to_string(info.param.target) + "b" +
                std::to_string(info.param.batch);

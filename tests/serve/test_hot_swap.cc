@@ -177,11 +177,12 @@ TEST_F(HotSwapTest, ReplaySwapIsDeterministicInTraceAndSwapPoint)
         ASSERT_DOUBLE_EQ(ra.dispatch_us, rb.dispatch_us);
         ASSERT_DOUBLE_EQ(ra.complete_us, rb.complete_us);
         ASSERT_EQ(ra.probabilities.size(), rb.probabilities.size());
-        if (!ra.probabilities.empty())
+        if (!ra.probabilities.empty()) {
             ASSERT_EQ(std::memcmp(ra.probabilities.data(),
                                   rb.probabilities.data(),
                                   ra.probabilities.size() * sizeof(float)),
                       0);
+        }
         saw_old |= ra.snapshot_epoch == 1;
         saw_new |= ra.snapshot_epoch == 2;
     }
