@@ -96,10 +96,17 @@ struct Instruction
     StatusReg reg = StatusReg::FeatureBase;  //!< register operand
     bool reg_write = false;                  //!< Reg: INIT (true) or QUERY
     bool has_payload = false;                //!< DQ-bus payload follows
+    /**
+     * Explicit padding, always zero: without it the two bytes before
+     * payload are uninitialised, and anything that reads the raw object
+     * (gtest's parameter printer, hashing, memcmp) sees garbage.
+     */
+    uint8_t reserved[2] = {};
     uint64_t payload = 0;                    //!< address or register data
 
     std::string toString() const;
 };
+static_assert(sizeof(Instruction) == 16, "Instruction gained padding bytes");
 
 /** The raw wire format: 13 bits of C/A plus an optional DQ burst. */
 struct EncodedInstruction
