@@ -64,16 +64,16 @@ ClusterNode::shardJobUs(const runtime::JobSpec &job, uint64_t rows,
     return us;
 }
 
-void
+runtime::EnmcSystem::FunctionalResult
 ClusterNode::runShard(const nn::Classifier &classifier,
                       const screening::Screener &screener,
                       const std::vector<tensor::Vector> &h_batch,
-                      uint64_t ranks, uint64_t row_begin, uint64_t rows,
-                      runtime::EnmcSystem::FunctionalResult &out) const
+                      uint64_t ranks, uint64_t row_begin,
+                      uint64_t rows) const
 {
     ENMC_ASSERT(backend_.alive(), "functional shard routed to a dead node");
-    system_.runFunctionalRange(classifier, screener, h_batch, ranks,
-                               row_begin, rows, out);
+    return system_.runFunctionalRange(classifier, screener, h_batch, ranks,
+                                      row_begin, rows);
 }
 
 } // namespace enmc::cluster

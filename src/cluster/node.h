@@ -49,15 +49,15 @@ class ClusterNode
 
     /**
      * Functional execution of classifier rows
-     * [row_begin, row_begin + rows) on this node's simulated ranks;
-     * fills that logit range of `out` and appends global candidate ids
-     * (see EnmcSystem::runFunctionalRange).
+     * [row_begin, row_begin + rows) on this node's simulated ranks: the
+     * shard's own logit rows and global candidate ids (see
+     * EnmcSystem::runFunctionalRange).
      */
-    void runShard(const nn::Classifier &classifier,
-                  const screening::Screener &screener,
-                  const std::vector<tensor::Vector> &h_batch,
-                  uint64_t ranks, uint64_t row_begin, uint64_t rows,
-                  runtime::EnmcSystem::FunctionalResult &out) const;
+    runtime::EnmcSystem::FunctionalResult
+    runShard(const nn::Classifier &classifier,
+             const screening::Screener &screener,
+             const std::vector<tensor::Vector> &h_batch, uint64_t ranks,
+             uint64_t row_begin, uint64_t rows) const;
 
     StatGroup &stats() { return stats_; }
 

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 #include "tensor/topk.h"
 
 namespace enmc::cluster {
@@ -143,25 +142,20 @@ ClusterRouter::routeBatch(uint64_t batch, uint64_t candidates,
     return assignments;
 }
 
-std::vector<uint32_t>
-ClusterRouter::primaryLiveAssignment() const
+uint32_t
+ClusterRouter::firstLiveReplica(size_t shard) const
 {
-    std::vector<uint32_t> owners(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        const std::vector<uint32_t> replicas = replicasOf(s);
-        const uint32_t *owner = nullptr;
-        for (const uint32_t &id : replicas) {
-            if (nodes_[id]->alive()) {
-                owner = &id;
-                break;
-            }
-        }
-        if (owner == nullptr)
-            ENMC_FATAL("no live replica left for shard ", s,
-                       " (replication ", cfg_.replication, ")");
-        owners[s] = *owner;
+    // Chained declustering, as in replicasOf(), but not bounded by the
+    // timing shard map: ceil slicing can give the functional shard map
+    // more shards than the timing map (4 nodes: 4 shards over 7 rows, 3
+    // over 9).
+    for (uint64_t r = 0; r < cfg_.replication; ++r) {
+        const uint32_t id = static_cast<uint32_t>((shard + r) % nodes_.size());
+        if (nodes_[id]->alive())
+            return id;
     }
-    return owners;
+    ENMC_FATAL("no live replica left for shard ", shard, " (replication ",
+               cfg_.replication, ")");
 }
 
 double
@@ -173,7 +167,9 @@ ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates)
     if (it != service_memo_.end())
         return it->second;
 
-    const std::vector<uint32_t> owners = primaryLiveAssignment();
+    std::vector<uint32_t> owners(shards_.size());
+    for (size_t s = 0; s < owners.size(); ++s)
+        owners[s] = firstLiveReplica(s);
     const uint64_t cand_share = candidateShare(candidates);
 
     // A one-node cluster is the degenerate fabric: no scatter, no gather,
@@ -225,7 +221,6 @@ ClusterRouter::computeBatch(const nn::Classifier &classifier,
     const uint64_t l = classifier.categories();
     ENMC_ASSERT(l <= job_.categories,
                 "classifier larger than the sharded label space");
-    const uint64_t batch = h_batch.size();
     const uint64_t use_ranks = ranks == 0 ? cfg_.ranks_per_node : ranks;
 
     // Functional sharding follows the label rows actually present on the
@@ -237,60 +232,29 @@ ClusterRouter::computeBatch(const nn::Classifier &classifier,
     std::vector<uint32_t> owners(fshards.size());
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t s = 0; s < fshards.size(); ++s) {
-            bool found = false;
-            for (uint64_t r = 0; r < cfg_.replication && !found; ++r) {
-                const uint32_t id =
-                    static_cast<uint32_t>((s + r) % nodes_.size());
-                if (nodes_[id]->alive()) {
-                    owners[s] = id;
-                    found = true;
-                }
-            }
-            if (!found)
-                ENMC_FATAL("no live replica left for functional shard ", s,
-                           " (replication ", cfg_.replication, ")");
-        }
+        for (size_t s = 0; s < owners.size(); ++s)
+            owners[s] = firstLiveReplica(s);
     }
 
     // Scatter: shards own disjoint label rows, so they execute
-    // concurrently; the shard-order merge keeps the result bit-identical
-    // to the serial (and the single-node) execution.
+    // concurrently; gatherShards merges them in shard order, which keeps
+    // the result bit-identical to the serial (and the single-node) run.
     std::vector<runtime::EnmcSystem::FunctionalResult> parts(fshards.size());
     parallelFor(0, fshards.size(), cfg_.node.sim_threads, [&](size_t s) {
-        parts[s].logits.assign(batch, tensor::Vector(l, 0.0f));
-        parts[s].candidates.assign(batch, {});
-        nodes_[owners[s]]->runShard(classifier, screener, h_batch,
-                                    use_ranks, fshards[s].begin,
-                                    fshards[s].rows, parts[s]);
+        parts[s] = nodes_[owners[s]]->runShard(classifier, screener, h_batch,
+                                               use_ranks, fshards[s].begin,
+                                               fshards[s].rows);
     });
+    runtime::EnmcSystem::FunctionalResult gathered =
+        runtime::gatherShards(std::move(parts), classifier.normalization());
 
-    // Gather at the root, in shard order.
-    std::vector<tensor::Vector> logits(batch, tensor::Vector(l, 0.0f));
-    std::vector<std::vector<uint32_t>> candidates(batch);
-    for (size_t s = 0; s < fshards.size(); ++s) {
-        for (uint64_t item = 0; item < batch; ++item) {
-            std::copy(parts[s].logits[item].begin() + fshards[s].begin,
-                      parts[s].logits[item].begin() + fshards[s].begin +
-                          fshards[s].rows,
-                      logits[item].begin() + fshards[s].begin);
-            candidates[item].insert(candidates[item].end(),
-                                    parts[s].candidates[item].begin(),
-                                    parts[s].candidates[item].end());
-        }
-    }
-
-    // Root normalization (identical to EnmcSystem::runFunctional), then
-    // the global top-k as a mergeTopK over per-shard top-k lists — the
+    // The global top-k as a mergeTopK over per-shard top-k lists — the
     // bounded-heap merge the ranks inside one node already use, lifted
     // to node granularity.
-    std::vector<runtime::ClassifierOutput> outputs(batch);
-    for (uint64_t item = 0; item < batch; ++item) {
+    std::vector<runtime::ClassifierOutput> outputs(h_batch.size());
+    for (size_t item = 0; item < outputs.size(); ++item) {
         runtime::ClassifierOutput &out = outputs[item];
-        out.probabilities =
-            classifier.normalization() == nn::Normalization::Softmax
-                ? tensor::softmaxTaylor(logits[item])
-                : tensor::sigmoidTaylor(logits[item]);
+        out.probabilities = std::move(gathered.probabilities[item]);
         std::vector<std::vector<tensor::Scored>> shard_tops(fshards.size());
         for (size_t s = 0; s < fshards.size(); ++s) {
             shard_tops[s] = tensor::topkScored(
@@ -304,7 +268,7 @@ ClusterRouter::computeBatch(const nn::Classifier &classifier,
         out.topk.reserve(merged.size());
         for (const tensor::Scored &sc : merged)
             out.topk.push_back(sc.index);
-        out.candidates = std::move(candidates[item]);
+        out.candidates = std::move(gathered.candidates[item]);
     }
     return outputs;
 }

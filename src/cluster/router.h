@@ -96,8 +96,8 @@ class ClusterRouter
     /**
      * Functional forward of a batch: every shard's owner runs its label
      * rows through its node's simulated ranks (concurrently — shards are
-     * disjoint), the router merges logits in shard order, normalizes
-     * once at the root, and extracts the global top-k by merging the
+     * disjoint), `runtime::gatherShards` merges them in shard order and
+     * normalizes once at the root, and the global top-k merges the
      * per-shard top-k lists through `tensor::mergeTopK`. Bit-identical
      * to `EnmcClassifier::forward` on the same classifier/screener for
      * any node count and any health history (partition invariance).
@@ -117,9 +117,10 @@ class ClusterRouter
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Shard -> first live replica (steady-state placement; no load
-     *  bookkeeping). Fatal when none is live. Caller holds mutex_. */
-    std::vector<uint32_t> primaryLiveAssignment() const;
+    /** Shard s's first live replica in chained order (steady-state
+     *  placement; no load bookkeeping). Fatal when none is live. Caller
+     *  holds mutex_. */
+    uint32_t firstLiveReplica(size_t shard) const;
     void killNodeLocked(uint32_t id, double now_us);
     uint64_t candidateShare(uint64_t candidates) const;
 

@@ -3,7 +3,7 @@
  * A small fixed-size thread pool (no work stealing) plus a parallelFor
  * helper for the simulator's embarrassingly parallel loops.
  *
- * Rank slices and scale-out node shards are independent simulations:
+ * Rank slices and cluster node shards are independent simulations:
  * each worker runs whole iterations against its own EnmcRank/NmpEngine
  * instance and writes into a caller-owned, per-index output slot, so the
  * merged result is bit-identical to the serial loop regardless of worker

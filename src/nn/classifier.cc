@@ -4,6 +4,13 @@
 
 namespace enmc::nn {
 
+tensor::Vector
+normalizeTaylor(std::span<const float> z, Normalization norm)
+{
+    return norm == Normalization::Softmax ? tensor::softmaxTaylor(z)
+                                          : tensor::sigmoidTaylor(z);
+}
+
 Classifier::Classifier(tensor::Matrix w, tensor::Vector b, Normalization norm)
     : w_(std::move(w)), b_(std::move(b)), norm_(norm)
 {

@@ -20,6 +20,14 @@ namespace enmc::nn {
 /** Output normalization applied after the linear transform. */
 enum class Normalization { Softmax, Sigmoid };
 
+/**
+ * `norm` applied to `z` with the SFU's Taylor-4 exp (tensor::softmaxTaylor
+ * or tensor::sigmoidTaylor): the hardware-accurate normalization every
+ * functional result and cache hit is served with.
+ */
+tensor::Vector normalizeTaylor(std::span<const float> z,
+                               Normalization norm);
+
 /** A softmax/sigmoid classification layer over l categories. */
 class Classifier
 {

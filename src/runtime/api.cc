@@ -131,9 +131,7 @@ EnmcClassifier::serveHit(const screening::CacheEntry &entry,
         logits[r] = tensor::dot(teacher_.weights().row(r), h) +
                     teacher_.bias()[r];
     out.probabilities =
-        teacher_.normalization() == nn::Normalization::Softmax
-            ? tensor::softmaxTaylor(logits)
-            : tensor::sigmoidTaylor(logits);
+        nn::normalizeTaylor(logits, teacher_.normalization());
     out.topk = tensor::topkIndices(out.probabilities, k);
     return out;
 }

@@ -129,8 +129,8 @@ class EnmcClassifier
     const ClassifierOptions &options() const { return options_; }
     /**
      * The current snapshot's screener. Only safe while no concurrent
-     * swap can retire it (calibration, tests, the cluster path — which
-     * does not support hot-swap); forward() itself never uses this.
+     * swap can retire it (calibration, tests); forward() and the cluster
+     * dispatch hold a snapshots().current() for the whole batch instead.
      */
     const screening::Screener &screener() const;
     const EnmcSystem &system() const { return system_; }

@@ -4,10 +4,11 @@
  *
  * Every consumer that splits a category range across execution units —
  * the timing path (`EnmcSystem::makeSliceTask`), the functional path
- * (`EnmcSystem::runFunctionalRange`), the channel simulator and the
- * scale-out layer — derives its slices from `RankPartitioner` and its
- * task address map from `TaskLayout`, so the timing and functional
- * simulations provably exercise one layout. (Regression-tested in
+ * (`EnmcSystem::runFunctionalRange`), the channel simulator, the
+ * scale-out timing model and the cluster router's shard map — derives
+ * its slices from `RankPartitioner` and its task address map from
+ * `TaskLayout`, so the timing and functional simulations provably
+ * exercise one layout. (Regression-tested in
  * `tests/runtime/test_backend.cc`: both paths must produce byte-identical
  * base addresses for the same task shape.)
  */

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "runtime/partition.h"
-#include "tensor/ops.h"
 
 namespace enmc::runtime {
 
@@ -52,88 +50,6 @@ runScaleOut(const ScaleOutConfig &cfg, const JobSpec &spec)
                 cfg.network.bandwidth;
     }
     return res;
-}
-
-EnmcSystem::FunctionalResult
-runScaleOutFunctional(const ScaleOutConfig &cfg,
-                      const nn::Classifier &classifier,
-                      const screening::Screener &screener,
-                      const std::vector<tensor::Vector> &h_batch,
-                      uint64_t ranks_per_node)
-{
-    ENMC_ASSERT(cfg.nodes >= 1, "cluster needs at least one node");
-    const uint64_t l = classifier.categories();
-    const uint64_t nodes = std::min<uint64_t>(cfg.nodes, l);
-    const uint64_t batch = h_batch.size();
-
-    EnmcSystem node(cfg.node);
-    EnmcSystem::FunctionalResult out;
-    out.logits.assign(batch, tensor::Vector(l, 0.0f));
-    out.candidates.assign(batch, {});
-
-    // Node shards are independent simulations (each node owns disjoint
-    // category rows), so they run concurrently; merging in shard order
-    // keeps the result bit-identical to the serial loop.
-    const std::vector<RowSlice> shards =
-        RankPartitioner::partition(0, l, nodes);
-    std::vector<EnmcSystem::FunctionalResult> parts(shards.size());
-    parallelFor(0, shards.size(), cfg.node.sim_threads, [&](size_t n) {
-        parts[n].logits.assign(batch, tensor::Vector(l, 0.0f));
-        parts[n].candidates.assign(batch, {});
-        node.runFunctionalRange(classifier, screener, h_batch,
-                                ranks_per_node, shards[n].begin,
-                                shards[n].rows, parts[n]);
-    });
-    for (size_t n = 0; n < shards.size(); ++n) {
-        out.rank_cycles = std::max(out.rank_cycles, parts[n].rank_cycles);
-        for (uint64_t item = 0; item < batch; ++item) {
-            std::copy(parts[n].logits[item].begin() + shards[n].begin,
-                      parts[n].logits[item].begin() + shards[n].begin +
-                          shards[n].rows,
-                      out.logits[item].begin() + shards[n].begin);
-            out.candidates[item].insert(out.candidates[item].end(),
-                                        parts[n].candidates[item].begin(),
-                                        parts[n].candidates[item].end());
-        }
-    }
-    out.seconds = cyclesToSeconds(out.rank_cycles, cfg.node.timing.freq_hz);
-
-    // Root merge: normalize once over the gathered logits.
-    for (uint64_t item = 0; item < batch; ++item) {
-        out.probabilities.push_back(
-            classifier.normalization() == nn::Normalization::Softmax
-                ? tensor::softmaxTaylor(out.logits[item])
-                : tensor::sigmoidTaylor(out.logits[item]));
-    }
-    return out;
-}
-
-std::vector<std::vector<uint32_t>>
-scaleOutTopK(const EnmcSystem::FunctionalResult &result, uint64_t nodes,
-             size_t k)
-{
-    ENMC_ASSERT(nodes >= 1, "cluster needs at least one node");
-    std::vector<std::vector<uint32_t>> topk;
-    topk.reserve(result.probabilities.size());
-    for (const tensor::Vector &probs : result.probabilities) {
-        const uint64_t l = probs.size();
-        const std::vector<RowSlice> shards = RankPartitioner::partition(
-            0, l, std::min<uint64_t>(nodes, std::max<uint64_t>(l, 1)));
-        std::vector<std::vector<tensor::Scored>> shard_tops;
-        shard_tops.reserve(shards.size());
-        for (const RowSlice &s : shards)
-            shard_tops.push_back(tensor::topkScored(
-                std::span<const float>(probs.data() + s.begin, s.rows), k,
-                static_cast<uint32_t>(s.begin)));
-        const std::vector<tensor::Scored> merged =
-            tensor::mergeTopK(shard_tops, k);
-        std::vector<uint32_t> ids;
-        ids.reserve(merged.size());
-        for (const tensor::Scored &sc : merged)
-            ids.push_back(sc.index);
-        topk.push_back(std::move(ids));
-    }
-    return topk;
 }
 
 } // namespace enmc::runtime

@@ -1,6 +1,6 @@
 /**
  * @file
- * Scale-out ENMC (paper Section 8: "our design can scale-out from
+ * Scale-out ENMC timing (paper Section 8: "our design can scale-out from
  * single-node to distributed nodes, where each node keeps an approximate
  * screener").
  *
@@ -9,8 +9,10 @@
  * inference: the root broadcasts the (projected, quantized) feature
  * vector, every node runs candidates-only classification locally, and
  * the root gathers each node's partial softmax normalizer + accurate
- * top-candidates and merges them into the global result — the same
- * merge the ranks inside one node already perform, lifted one level.
+ * top-candidates. This file models that round's time. The functional
+ * scatter/gather is `cluster::ClusterRouter::computeBatch`, whose merge
+ * is `gatherShards` (runtime/system.h) — the same merge the ranks inside
+ * one node already perform, lifted one level.
  */
 
 #ifndef ENMC_RUNTIME_SCALEOUT_H
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "runtime/system.h"
-#include "tensor/topk.h"
 
 namespace enmc::runtime {
 
@@ -65,28 +66,6 @@ struct ScaleOutResult
  * `spec.categories`/`spec.candidates` describe the *global* problem.
  */
 ScaleOutResult runScaleOut(const ScaleOutConfig &cfg, const JobSpec &spec);
-
-/**
- * Functional scale-out: partition `classifier`/`screener` across
- * `nodes`, run each node's slice through its (simulated) ENMC ranks, and
- * merge. Output must equal the single-node result — asserted by tests.
- */
-EnmcSystem::FunctionalResult runScaleOutFunctional(
-    const ScaleOutConfig &cfg, const nn::Classifier &classifier,
-    const screening::Screener &screener,
-    const std::vector<tensor::Vector> &h_batch,
-    uint64_t ranks_per_node = 2);
-
-/**
- * Global top-k per batch item of a scale-out functional result, computed
- * the way the gather actually works: each of the `nodes` shards reports
- * only its local top-k (offset to global row ids) and the root merges
- * the lists through `tensor::mergeTopK`. Equals
- * `tensor::topkIndices(probabilities, k)` for every shard layout
- * (partition invariance; asserted by tests).
- */
-std::vector<std::vector<uint32_t>> scaleOutTopK(
-    const EnmcSystem::FunctionalResult &result, uint64_t nodes, size_t k);
 
 } // namespace enmc::runtime
 

@@ -9,7 +9,6 @@
 #include "runtime/compiler.h"
 #include "runtime/partition.h"
 #include "runtime/resilience.h"
-#include "tensor/ops.h"
 #include "tensor/tune.h"
 
 namespace enmc::runtime {
@@ -230,13 +229,12 @@ EnmcSystem::runTiming(const JobSpec &spec) const
     return res;
 }
 
-void
+EnmcSystem::FunctionalResult
 EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
                                const screening::Screener &screener,
                                const std::vector<tensor::Vector> &h_batch,
                                uint64_t ranks_to_use, uint64_t row_begin,
-                               uint64_t row_count,
-                               FunctionalResult &out) const
+                               uint64_t row_count) const
 {
     ENMC_ASSERT(!h_batch.empty(), "empty batch");
     ENMC_ASSERT(screener.quantizedFrozen(),
@@ -405,6 +403,9 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
             results[s].faults = injector.counters();
     });
 
+    FunctionalResult out;
+    out.logits.assign(batch, tensor::Vector(row_count, 0.0f));
+    out.candidates.assign(batch, {});
     {
         obs::TraceSpan merge_span("merge", "pipeline");
         for (size_t s = 0; s < slices.size(); ++s) {
@@ -422,7 +423,7 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
             recordSlice(rr);
             for (uint64_t item = 0; item < batch; ++item) {
                 std::copy(rr.logits[item].begin(), rr.logits[item].end(),
-                          out.logits[item].begin() + row0);
+                          out.logits[item].begin() + (row0 - row_begin));
                 for (uint32_t c : rr.candidate_ids[item])
                     out.candidates[item].push_back(
                         static_cast<uint32_t>(row0 + c));
@@ -467,6 +468,7 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
                               static_cast<double>(rr.candidates)}});
         }
     }
+    return out;
 }
 
 EnmcSystem::FunctionalResult
@@ -475,21 +477,58 @@ EnmcSystem::runFunctional(const nn::Classifier &classifier,
                           const std::vector<tensor::Vector> &h_batch,
                           uint64_t ranks_to_use) const
 {
-    const uint64_t l = classifier.categories();
-    const uint64_t batch = h_batch.size();
-    FunctionalResult out;
-    out.logits.assign(batch, tensor::Vector(l, 0.0f));
-    out.candidates.assign(batch, {});
-    runFunctionalRange(classifier, screener, h_batch, ranks_to_use, 0, l,
-                       out);
+    std::vector<FunctionalResult> parts;
+    parts.push_back(runFunctionalRange(classifier, screener, h_batch,
+                                       ranks_to_use, 0,
+                                       classifier.categories()));
+    return gatherShards(std::move(parts), classifier.normalization());
+}
 
-    // Host-side merge + SFU-accurate normalization (Taylor-4 exp).
-    for (uint64_t item = 0; item < batch; ++item) {
-        out.probabilities.push_back(
-            classifier.normalization() == nn::Normalization::Softmax
-                ? tensor::softmaxTaylor(out.logits[item])
-                : tensor::sigmoidTaylor(out.logits[item]));
+EnmcSystem::FunctionalResult
+gatherShards(std::vector<EnmcSystem::FunctionalResult> parts,
+             nn::Normalization norm)
+{
+    ENMC_ASSERT(!parts.empty(), "gather of zero shards");
+    const size_t batch = parts.front().logits.size();
+    size_t rows = 0;
+    for (const EnmcSystem::FunctionalResult &part : parts) {
+        ENMC_ASSERT(part.logits.size() == batch &&
+                        part.candidates.size() == batch,
+                    "shards disagree on the batch size");
+        rows += batch == 0 ? 0 : part.logits.front().size();
     }
+    EnmcSystem::FunctionalResult out = std::move(parts.front());
+    for (tensor::Vector &z : out.logits)
+        z.reserve(rows);
+    for (size_t p = 1; p < parts.size(); ++p) {
+        const EnmcSystem::FunctionalResult &part = parts[p];
+        for (size_t item = 0; item < batch; ++item) {
+            out.logits[item].insert(out.logits[item].end(),
+                                    part.logits[item].begin(),
+                                    part.logits[item].end());
+            out.candidates[item].insert(out.candidates[item].end(),
+                                        part.candidates[item].begin(),
+                                        part.candidates[item].end());
+        }
+        out.rank_cycles = std::max(out.rank_cycles, part.rank_cycles);
+        out.seconds = std::max(out.seconds, part.seconds);
+        out.faults += part.faults;
+        out.uncorrectable_words += part.uncorrectable_words;
+        out.uncorrectable_weak_words += part.uncorrectable_weak_words;
+        out.uncorrectable_strong_words += part.uncorrectable_strong_words;
+        out.ecc_redundancy_reads += part.ecc_redundancy_reads;
+        out.ecc_decode_cycles += part.ecc_decode_cycles;
+        out.degraded_candidates += part.degraded_candidates;
+        out.slice_cycles.insert(out.slice_cycles.end(),
+                                part.slice_cycles.begin(),
+                                part.slice_cycles.end());
+    }
+
+    // Root normalization, once over the gathered logits (SFU Taylor-4).
+    out.probabilities.clear();
+    out.probabilities.reserve(batch);
+    for (const tensor::Vector &z : out.logits)
+        out.probabilities.push_back(nn::normalizeTaylor(z, norm));
     return out;
 }
 

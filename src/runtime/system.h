@@ -120,10 +120,11 @@ class EnmcSystem
     TimingResult runTiming(const JobSpec &spec) const;
 
     /**
-     * Functional execution: slice `screener`/`classifier` across
-     * `ranks_to_use` simulated ranks, run each, and merge. Returns mixed
-     * logits + probabilities per batch item plus the slowest rank's
-     * timing. Used by examples and correctness tests at functional scale.
+     * Outcome of a functional run: mixed logits per batch item (exact
+     * on candidate rows, approximate elsewhere), global candidate ids,
+     * the slowest rank's timing and the fault/ECC activity. A shard's
+     * result (runFunctionalRange) covers only its own rows and leaves
+     * `probabilities` empty; gatherShards() merges shards and normalizes.
      */
     struct FunctionalResult
     {
@@ -150,6 +151,13 @@ class EnmcSystem
          */
         std::vector<Cycles> slice_cycles;
     };
+
+    /**
+     * Functional execution: slice `screener`/`classifier` across
+     * `ranks_to_use` simulated ranks, run each, and merge — the
+     * one-shard case of gatherShards(). Used by examples and
+     * correctness tests at functional scale.
+     */
     FunctionalResult runFunctional(
         const nn::Classifier &classifier,
         const screening::Screener &screener,
@@ -157,19 +165,18 @@ class EnmcSystem
         uint64_t ranks_to_use = 4) const;
 
     /**
-     * Functional execution restricted to classifier rows
-     * [row_begin, row_begin + row_count): fills that range of
-     * `out.logits` and appends global candidate ids. Used by the
-     * scale-out layer, which assigns disjoint row ranges to nodes.
-     * `out` must be pre-sized (logits/candidates per batch item);
-     * probabilities are NOT computed (the caller normalizes once).
+     * Functional execution of one shard: classifier rows
+     * [row_begin, row_begin + row_count) sliced across `ranks_to_use`
+     * simulated ranks. `logits[item]` holds only those `row_count` rows
+     * (shard-local order); `candidates` are global row ids. Timing,
+     * fault/ECC counters and `slice_cycles` cover this shard's ranks;
+     * `probabilities` stay empty (gatherShards() normalizes once).
      */
-    void runFunctionalRange(const nn::Classifier &classifier,
-                            const screening::Screener &screener,
-                            const std::vector<tensor::Vector> &h_batch,
-                            uint64_t ranks_to_use, uint64_t row_begin,
-                            uint64_t row_count,
-                            FunctionalResult &out) const;
+    FunctionalResult runFunctionalRange(
+        const nn::Classifier &classifier,
+        const screening::Screener &screener,
+        const std::vector<tensor::Vector> &h_batch, uint64_t ranks_to_use,
+        uint64_t row_begin, uint64_t row_count) const;
 
   private:
     TimingResult runRank(const arch::RankTask &task) const;
@@ -209,6 +216,18 @@ class EnmcSystem
     // Declared last so the group unregisters before any stat dies.
     obs::StatRegistration stats_registration_;
 };
+
+/**
+ * The node-level gather: merge shard results given in shard order (each
+ * shard owning the rows that follow the previous one's) into one result
+ * over their union. Logits concatenate, candidates append, timing is the
+ * slowest shard's, fault/ECC counters sum, `slice_cycles` concatenate,
+ * and the merged logits are normalized once with `norm` (Taylor SFU).
+ * The ranks inside a shard merge the same way in runFunctionalRange.
+ */
+EnmcSystem::FunctionalResult
+gatherShards(std::vector<EnmcSystem::FunctionalResult> parts,
+             nn::Normalization norm);
 
 } // namespace enmc::runtime
 

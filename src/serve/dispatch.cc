@@ -177,11 +177,19 @@ ClusterDispatcher::forward(const std::vector<tensor::Vector> &h_batch,
 {
     ENMC_ASSERT(classifier_ != nullptr,
                 "dispatch: forward without an attached classifier");
-    // Same ranks-per-node the classifier itself slices across, so a
-    // 1-node cluster is bit-identical to the classifier's own forward.
-    return router_.computeBatch(classifier_->teacher(),
-                                classifier_->screener(), h_batch, k,
-                                classifier_->options().ranks);
+    // One snapshot for the whole batch, as in EnmcClassifier::forward:
+    // a concurrent hot-swap neither mixes epochs within the batch nor
+    // frees the screener under it. Same ranks-per-node the
+    // classifier itself slices across, so a 1-node cluster is
+    // bit-identical to the classifier's own forward.
+    const auto snap = classifier_->snapshots().current();
+    ENMC_ASSERT(snap != nullptr, "no screener published");
+    std::vector<runtime::ClassifierOutput> outs = router_.computeBatch(
+        classifier_->teacher(), snap->screener(), h_batch, k,
+        classifier_->options().ranks);
+    for (runtime::ClassifierOutput &out : outs)
+        out.snapshot_epoch = snap->epoch();
+    return outs;
 }
 
 std::unique_ptr<Dispatcher>

@@ -10,7 +10,9 @@
  *    never the answer — every admitted response matches the single-query
  *    reference forward;
  *  - a scripted mid-run node kill is survived with zero wrong answers,
- *    zero dispatches to the dead node, and a still-deterministic replay.
+ *    zero dispatches to the dead node, and a still-deterministic replay;
+ *  - a mid-run screener refresh is served per snapshot: every response
+ *    carries the epoch it was computed under and that epoch's answer.
  */
 
 #include <gtest/gtest.h>
@@ -121,6 +123,7 @@ class ClusterServingTest : public ::testing::Test
         }
         ASSERT_EQ(a.topk, b.topk);
         ASSERT_EQ(a.candidates, b.candidates);
+        ASSERT_EQ(a.snapshot_epoch, b.snapshot_epoch);
     }
 
     workloads::SyntheticModel model_;
@@ -282,6 +285,52 @@ TEST_F(ClusterServingTest, KilledRunReplaysReproducibly)
         ASSERT_DOUBLE_EQ(a.responses[i].complete_us,
                          b.responses[i].complete_us);
     }
+}
+
+TEST_F(ClusterServingTest, ReplaySwapServesEachEpochsExactOutput)
+{
+    // A screener refresh mid-run: the cluster dispatch serves each batch
+    // from one snapshot, stamps that snapshot's epoch on every response,
+    // and each answer equals the single-query reference at that epoch.
+    auto clf = makeClassifier(4);
+    ServeLoop loop(clusterConfig(4, 2), job());
+    loop.attachClassifier(*clf);
+    loop.scheduleSwap(1, [&] { clf->refresh(train_, val_); });
+    const ServeReport report = loop.replay(trace());
+
+    // The refresh seed depends only on (options.seed, epoch), so a twin
+    // refreshed once holds the served classifier's epoch-2 screener.
+    auto ref1 = makeClassifier(4);
+    auto ref2 = makeClassifier(4);
+    ASSERT_EQ(ref2->refresh(train_, val_), 2u);
+
+    ASSERT_EQ(report.responses.size(), queries_.size());
+    bool saw_old = false, saw_new = false;
+    for (const Response &resp : report.responses) {
+        ASSERT_EQ(resp.admission, Admission::Admitted);
+        ASSERT_TRUE(resp.snapshot_epoch == 1 || resp.snapshot_epoch == 2)
+            << "request " << resp.id << " served under epoch "
+            << resp.snapshot_epoch;
+        runtime::EnmcClassifier &ref =
+            resp.snapshot_epoch == 1 ? *ref1 : *ref2;
+        const auto expect = ref.forward({queries_[resp.id]}, 5);
+        ASSERT_EQ(expect[0].snapshot_epoch, resp.snapshot_epoch);
+        ASSERT_EQ(resp.probabilities.size(),
+                  expect[0].probabilities.size());
+        ASSERT_EQ(std::memcmp(resp.probabilities.data(),
+                              expect[0].probabilities.data(),
+                              expect[0].probabilities.size() *
+                                  sizeof(float)),
+                  0)
+            << "request " << resp.id << " (epoch " << resp.snapshot_epoch
+            << ") does not match its epoch's reference";
+        ASSERT_EQ(resp.topk, expect[0].topk);
+        ASSERT_EQ(resp.candidates, expect[0].candidates);
+        saw_old |= resp.snapshot_epoch == 1;
+        saw_new |= resp.snapshot_epoch == 2;
+    }
+    EXPECT_TRUE(saw_old) << "swap after batch 1 must leave epoch-1 output";
+    EXPECT_TRUE(saw_new) << "swap never took effect";
 }
 
 TEST_F(ClusterServingTest, LiveModeClusterMatchesReference)

@@ -1,12 +1,18 @@
 /**
  * @file
- * Tests for the scale-out (multi-node) ENMC model.
+ * Tests for the scale-out (multi-node) ENMC model: the timing model in
+ * runtime/scaleout.h and the functional scatter/gather through the
+ * cluster router.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "cluster/router.h"
 #include "runtime/scaleout.h"
 #include "screening/trainer.h"
+#include "tensor/topk.h"
 #include "workloads/synthetic.h"
 
 namespace enmc::runtime {
@@ -125,6 +131,30 @@ class ScaleOutFunctional : public ::testing::Test
     std::vector<tensor::Vector> h_batch_;
 };
 
+/**
+ * The functional scale-out path is the cluster router: a replication-1
+ * cluster with no node kills, sharding the label space across `nodes`.
+ */
+std::vector<ClassifierOutput>
+clusterForward(uint64_t nodes, const nn::Classifier &classifier,
+               const screening::Screener &screener,
+               const std::vector<tensor::Vector> &h_batch, size_t k)
+{
+    cluster::ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.replication = 1;
+    cluster::ClusterRouter router(cfg, globalJob(classifier.categories()));
+    return router.computeBatch(classifier, screener, h_batch, k,
+                               /*ranks=*/2);
+}
+
+void
+expectSameFloats(const tensor::Vector &a, const tensor::Vector &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
 /** Node partitioning must be numerically transparent. */
 class NodeCount : public ScaleOutFunctional,
                   public ::testing::WithParamInterface<uint64_t>
@@ -133,21 +163,16 @@ class NodeCount : public ScaleOutFunctional,
 
 TEST_P(NodeCount, MergeEqualsSingleNode)
 {
-    ScaleOutConfig solo;
-    solo.nodes = 1;
-    ScaleOutConfig multi;
-    multi.nodes = GetParam();
-    const auto a = runScaleOutFunctional(solo, model_.classifier(),
-                                         *screener_, h_batch_, 2);
-    const auto b = runScaleOutFunctional(multi, model_.classifier(),
-                                         *screener_, h_batch_, 2);
+    const auto a =
+        clusterForward(1, model_.classifier(), *screener_, h_batch_, 10);
+    const auto b = clusterForward(GetParam(), model_.classifier(),
+                                  *screener_, h_batch_, 10);
+    ASSERT_EQ(a.size(), h_batch_.size());
+    ASSERT_EQ(b.size(), h_batch_.size());
     for (size_t item = 0; item < h_batch_.size(); ++item) {
-        for (size_t i = 0; i < 2048; ++i)
-            EXPECT_FLOAT_EQ(b.logits[item][i], a.logits[item][i]);
-        EXPECT_EQ(b.candidates[item].size(), a.candidates[item].size());
-        for (size_t i = 0; i < 2048; ++i)
-            EXPECT_FLOAT_EQ(b.probabilities[item][i],
-                            a.probabilities[item][i]);
+        expectSameFloats(b[item].probabilities, a[item].probabilities);
+        EXPECT_EQ(b[item].candidates, a[item].candidates);
+        EXPECT_EQ(b[item].topk, a[item].topk);
     }
 }
 
@@ -157,33 +182,30 @@ TEST_F(ScaleOutFunctional, ShardedTopKMatchesGlobalTopK)
 {
     // The gather-side merge: per-shard top-k lists through mergeTopK
     // must equal the unsharded selection for every cluster width.
-    ScaleOutConfig cfg;
-    cfg.nodes = 4;
-    const auto res = runScaleOutFunctional(cfg, model_.classifier(),
-                                           *screener_, h_batch_, 2);
-    for (const uint64_t nodes : {1ull, 2ull, 5ull, 64ull, 5000ull}) {
-        const auto sharded = scaleOutTopK(res, nodes, 10);
-        ASSERT_EQ(sharded.size(), h_batch_.size());
-        for (size_t item = 0; item < h_batch_.size(); ++item) {
-            const auto ref =
-                tensor::topkIndices(res.probabilities[item], 10);
-            EXPECT_EQ(sharded[item], ref) << "nodes=" << nodes;
-        }
+    for (const uint64_t nodes : {1ull, 2ull, 5ull, 8ull}) {
+        const auto out = clusterForward(nodes, model_.classifier(),
+                                        *screener_, h_batch_, 10);
+        ASSERT_EQ(out.size(), h_batch_.size());
+        for (size_t item = 0; item < h_batch_.size(); ++item)
+            EXPECT_EQ(out[item].topk,
+                      tensor::topkIndices(out[item].probabilities, 10))
+                << "nodes=" << nodes;
     }
 }
 
 TEST_F(ScaleOutFunctional, MatchesPlainFunctionalRun)
 {
-    ScaleOutConfig cfg;
-    cfg.nodes = 4;
-    const auto scale = runScaleOutFunctional(cfg, model_.classifier(),
-                                             *screener_, h_batch_, 2);
+    const auto scale =
+        clusterForward(4, model_.classifier(), *screener_, h_batch_, 10);
     EnmcSystem sys{SystemConfig{}};
     const auto plain = sys.runFunctional(model_.classifier(), *screener_,
                                          h_batch_, 8);
-    for (size_t item = 0; item < h_batch_.size(); ++item)
-        for (size_t i = 0; i < 2048; ++i)
-            EXPECT_FLOAT_EQ(scale.logits[item][i], plain.logits[item][i]);
+    ASSERT_EQ(scale.size(), h_batch_.size());
+    for (size_t item = 0; item < h_batch_.size(); ++item) {
+        expectSameFloats(scale[item].probabilities,
+                         plain.probabilities[item]);
+        EXPECT_EQ(scale[item].candidates, plain.candidates[item]);
+    }
 }
 
 } // namespace

@@ -186,6 +186,77 @@ TEST_F(FunctionalSystem, ReportsRankCycles)
     EXPECT_GT(out.seconds, 0.0);
 }
 
+/** A hand-built shard result: `rows` logits per item starting at
+ *  `first`, one global candidate per item, and distinct counters. */
+EnmcSystem::FunctionalResult
+shardPart(uint32_t row_begin, size_t rows, float first, Cycles cycles,
+          uint64_t scale)
+{
+    EnmcSystem::FunctionalResult part;
+    for (int item = 0; item < 2; ++item) {
+        tensor::Vector z(rows);
+        for (size_t i = 0; i < rows; ++i)
+            z[i] = first + static_cast<float>(item * 100 + i);
+        part.logits.push_back(std::move(z));
+        part.candidates.push_back(
+            {static_cast<uint32_t>(row_begin + item)});
+    }
+    part.rank_cycles = cycles;
+    part.seconds = static_cast<double>(cycles) * 1e-9;
+    part.faults.injected_words = 1 * scale;
+    part.faults.corrected = 2 * scale;
+    part.faults.per_class[1].detected = 3 * scale;
+    part.uncorrectable_words = 4 * scale;
+    part.uncorrectable_weak_words = 5 * scale;
+    part.uncorrectable_strong_words = 6 * scale;
+    part.ecc_redundancy_reads = 7 * scale;
+    part.ecc_decode_cycles = 8 * scale;
+    part.degraded_candidates = 9 * scale;
+    part.slice_cycles = {cycles, cycles / 2};
+    return part;
+}
+
+TEST(GatherShards, MergesShardsInShardOrder)
+{
+    std::vector<EnmcSystem::FunctionalResult> parts;
+    parts.push_back(shardPart(0, 3, 0.0f, 500, 1));
+    parts.push_back(shardPart(3, 2, 10.0f, 900, 10));
+    parts.push_back(shardPart(5, 1, 20.0f, 700, 100));
+    const EnmcSystem::FunctionalResult out =
+        gatherShards(parts, nn::Normalization::Sigmoid);
+
+    ASSERT_EQ(out.logits.size(), 2u);
+    EXPECT_EQ(out.logits[0],
+              (tensor::Vector{0.0f, 1.0f, 2.0f, 10.0f, 11.0f, 20.0f}));
+    EXPECT_EQ(out.logits[1], (tensor::Vector{100.0f, 101.0f, 102.0f,
+                                             110.0f, 111.0f, 120.0f}));
+    EXPECT_EQ(out.candidates[0], (std::vector<uint32_t>{0, 3, 5}));
+    EXPECT_EQ(out.candidates[1], (std::vector<uint32_t>{1, 4, 6}));
+    ASSERT_EQ(out.probabilities.size(), 2u);
+    for (size_t item = 0; item < 2; ++item)
+        EXPECT_EQ(out.probabilities[item],
+                  tensor::sigmoidTaylor(out.logits[item]));
+
+    EXPECT_EQ(out.rank_cycles, 900u);
+    EXPECT_DOUBLE_EQ(out.seconds, 900e-9);
+    EXPECT_EQ(out.faults.injected_words, 111u);
+    EXPECT_EQ(out.faults.corrected, 222u);
+    EXPECT_EQ(out.faults.per_class[1].detected, 333u);
+    EXPECT_EQ(out.uncorrectable_words, 444u);
+    EXPECT_EQ(out.uncorrectable_weak_words, 555u);
+    EXPECT_EQ(out.uncorrectable_strong_words, 666u);
+    EXPECT_EQ(out.ecc_redundancy_reads, 777u);
+    EXPECT_EQ(out.ecc_decode_cycles, 888u);
+    EXPECT_EQ(out.degraded_candidates, 999u);
+    EXPECT_EQ(out.slice_cycles,
+              (std::vector<Cycles>{500, 250, 900, 450, 700, 350}));
+
+    // Softmax normalizes once over the whole gathered row set.
+    const EnmcSystem::FunctionalResult soft =
+        gatherShards(parts, nn::Normalization::Softmax);
+    EXPECT_EQ(soft.probabilities[0], tensor::softmaxTaylor(soft.logits[0]));
+}
+
 TEST_F(FunctionalSystem, RequiresFrozenThresholdScreener)
 {
     EnmcSystem sys{SystemConfig{}};
