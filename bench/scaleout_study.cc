@@ -7,15 +7,31 @@
  * Sweeps node count on three problem sizes and reports the timing
  * decomposition (broadcast / local classification / gather), speedup and
  * parallel efficiency, locating where the network overtakes the benefit.
+ * The model is the cluster fabric's router with one shard per node, no
+ * replication and no per-shard handoff: only the network separates the
+ * nodes.
  */
 
-#include <cmath>
-
 #include "bench_common.h"
-#include "runtime/scaleout.h"
+#include "cluster/router.h"
 
 using namespace enmc;
 using namespace enmc::bench;
+
+namespace {
+
+/** Paper Section 8's scale-out as a failure-free cluster. */
+cluster::ClusterConfig
+scaleOut(uint64_t nodes)
+{
+    cluster::ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.replication = 1;
+    cfg.node_handoff_us = 0.0;
+    return cfg;
+}
+
+} // namespace
 
 int
 main()
@@ -28,21 +44,20 @@ main()
     for (const char *abbr : {"XMLCNN-670K", "S10M", "S100M"}) {
         const workloads::Workload w = workloads::findWorkload(abbr);
         const runtime::JobSpec spec = jobSpecFor(w, 1, true);
+        const auto timeOn = [&](uint64_t nodes) {
+            return cluster::ClusterRouter(scaleOut(nodes), spec)
+                .serviceBreakdown(spec.batch, spec.candidates);
+        };
 
-        runtime::ScaleOutConfig solo_cfg;
-        solo_cfg.nodes = 1;
-        const auto solo = runtime::runScaleOut(solo_cfg, spec);
-
+        const double solo_us = timeOn(1).totalUs();
         for (uint64_t nodes : {1ull, 2ull, 4ull, 8ull, 16ull, 32ull}) {
-            runtime::ScaleOutConfig cfg;
-            cfg.nodes = nodes;
-            const auto r = runtime::runScaleOut(cfg, spec);
-            const double speedup = solo.total() / r.total();
+            const auto r = timeOn(nodes);
+            const double speedup = solo_us / r.totalUs();
             printRow({abbr, std::to_string(nodes),
-                      fmt(1e6 * r.broadcast_seconds, "%.2f"),
-                      fmt(1e6 * r.classification_seconds, "%.1f"),
-                      fmt(1e6 * r.gather_seconds, "%.2f"),
-                      fmt(1e6 * r.total(), "%.1f"),
+                      fmt(r.scatter_us, "%.2f"),
+                      fmt(r.compute_us, "%.1f"),
+                      fmt(r.gather_us, "%.2f"),
+                      fmt(r.totalUs(), "%.1f"),
                       fmt(speedup, "%.2f"),
                       fmt(speedup / nodes, "%.2f")},
                      12);

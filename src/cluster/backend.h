@@ -43,7 +43,7 @@ class ClusterBackend : public runtime::Backend
   private:
     ClusterConfig cluster_cfg_;
     // One router per label-space size: runJob is const on Backend, but a
-    // router carries routing/memo state, so the cache is mutable.
+    // router carries routing and health state, so the cache is mutable.
     mutable std::mutex mutex_;
     mutable std::map<uint64_t, std::unique_ptr<ClusterRouter>> routers_;
 };

@@ -4,8 +4,9 @@
  * overrides.
  *
  * A cluster is N simulated ENMC nodes, each holding the screener +
- * classifier slices of one label shard (paper Section 8 lifted from an
- * analytic model to a routed fabric). `replication` copies every shard
+ * classifier slices of one label shard (paper Section 8's scale-out:
+ * "each node keeps an approximate screener"; replication 1 with no
+ * handoff is exactly that model). `replication` copies every shard
  * onto that many nodes (chained declustering), which is what lets the
  * router survive a node death mid-run. `node_handoff_us` is the
  * per-shard-dispatch host cost — NMPO's offload-initiation +
@@ -19,10 +20,16 @@
 #include <cstdint>
 #include <string>
 
-#include "runtime/scaleout.h"
 #include "runtime/system.h"
 
 namespace enmc::cluster {
+
+/** Inter-node network model (flat latency/bandwidth, RDMA-style). */
+struct NetworkConfig
+{
+    double bandwidth = 12.5e9;   //!< bytes/sec (100 Gb/s)
+    double latency = 2e-6;       //!< per-message one-way latency (s)
+};
 
 /** A scripted mid-run node kill (deterministic failover drills). */
 struct ScriptedKill
@@ -52,7 +59,7 @@ struct ClusterConfig
      */
     double node_handoff_us = 10.0;  // ENMC_CLUSTER_NODE_HANDOFF_US
     /** Inter-node network.  */     // ENMC_CLUSTER_NET_GBPS / _NET_LAT_US
-    runtime::NetworkConfig network;
+    NetworkConfig network;
     /** Every node's local ENMC system. */
     runtime::SystemConfig node;
     ScriptedKill kill;

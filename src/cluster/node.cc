@@ -51,17 +51,11 @@ double
 ClusterNode::shardJobUs(const runtime::JobSpec &job, uint64_t rows,
                         uint64_t batch, uint64_t candidates)
 {
-    const auto key = std::make_tuple(rows, batch, candidates);
-    auto it = job_memo_.find(key);
-    if (it != job_memo_.end())
-        return it->second;
     runtime::JobSpec spec = job;
     spec.categories = rows;
     spec.batch = batch;
     spec.candidates = candidates;
-    const double us = backend_.runJob(spec).seconds * 1e6;
-    job_memo_.emplace(key, us);
-    return us;
+    return jobs_.runJob(spec).seconds * 1e6;
 }
 
 runtime::EnmcSystem::FunctionalResult

@@ -10,9 +10,7 @@
 #ifndef ENMC_CLUSTER_NODE_H
 #define ENMC_CLUSTER_NODE_H
 
-#include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "cluster/config.h"
@@ -41,8 +39,8 @@ class ClusterNode
 
     /**
      * Simulated service time (us) of this node running `rows` label rows
-     * of `job` at the given batch/candidate share. Memoized — the
-     * timing backend is deterministic in the spec.
+     * of `job` at the given batch/candidate share, through the node's
+     * `JobMemo`.
      */
     double shardJobUs(const runtime::JobSpec &job, uint64_t rows,
                       uint64_t batch, uint64_t candidates);
@@ -66,8 +64,8 @@ class ClusterNode
                                             const ClusterConfig &cfg);
 
     runtime::NodeBackend backend_;
+    runtime::JobMemo jobs_{backend_};
     runtime::EnmcSystem system_;
-    std::map<std::tuple<uint64_t, uint64_t, uint64_t>, double> job_memo_;
 
     // Per-node stats ("cluster.node.<id>").
     StatGroup stats_;

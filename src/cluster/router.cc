@@ -158,58 +158,46 @@ ClusterRouter::firstLiveReplica(size_t shard) const
                cfg_.replication, ")");
 }
 
-double
-ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates)
+ClusterRouter::ServiceBreakdown
+ClusterRouter::serviceBreakdown(uint64_t batch, uint64_t candidates)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto key = std::make_tuple(batch, candidates, health_epoch_);
-    auto it = service_memo_.find(key);
-    if (it != service_memo_.end())
-        return it->second;
-
-    std::vector<uint32_t> owners(shards_.size());
-    for (size_t s = 0; s < owners.size(); ++s)
-        owners[s] = firstLiveReplica(s);
-    const uint64_t cand_share = candidateShare(candidates);
-
+    ServiceBreakdown t;
     // A one-node cluster is the degenerate fabric: no scatter, no gather,
     // no handoff — exactly the single-backend service time, so the
     // 1-node cluster stays bit-identical to the non-cluster path.
-    double us = 0.0;
     if (nodes_.size() == 1) {
-        us = nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
-                                   candidates);
-    } else {
-        // Scatter: the router sends each owning shard's features
-        // point-to-point, plus one ingest handoff per shard message.
-        const uint64_t feat_bytes =
-            batch * (ceilDiv(job_.reduced, 2) + job_.hidden * 4);
-        const double scatter_us =
-            cfg_.network.latency * 1e6 +
-            static_cast<double>(shards_.size() * feat_bytes) /
-                cfg_.network.bandwidth * 1e6 +
-            static_cast<double>(shards_.size()) * cfg_.node_handoff_us;
-
-        // Compute: shards assigned to the same node serialize on it; the
-        // batch finishes when the slowest node does.
-        std::vector<double> node_us(nodes_.size(), 0.0);
-        for (size_t s = 0; s < shards_.size(); ++s)
-            node_us[owners[s]] += nodes_[owners[s]]->shardJobUs(
-                job_, shards_[s].rows, batch, cand_share);
-        const double compute_us =
-            *std::max_element(node_us.begin(), node_us.end());
-
-        // Gather: per-shard partial normalizer + accurate candidates.
-        const uint64_t result_bytes = batch * 8 + cand_share * batch * 8;
-        const double gather_us =
-            cfg_.network.latency * 1e6 +
-            static_cast<double>(shards_.size() * result_bytes) /
-                cfg_.network.bandwidth * 1e6;
-
-        us = scatter_us + compute_us + gather_us;
+        t.compute_us = nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
+                                             candidates);
+        return t;
     }
-    service_memo_.emplace(key, us);
-    return us;
+
+    // Scatter: the router sends each owning shard's features
+    // point-to-point, plus one ingest handoff per shard message.
+    const uint64_t feat_bytes =
+        batch * (ceilDiv(job_.reduced, 2) + job_.hidden * 4);
+    t.scatter_us = cfg_.network.latency * 1e6 +
+                   static_cast<double>(shards_.size() * feat_bytes) /
+                       cfg_.network.bandwidth * 1e6 +
+                   static_cast<double>(shards_.size()) * cfg_.node_handoff_us;
+
+    // Compute: shards assigned to the same node serialize on it; the
+    // batch finishes when the slowest node does.
+    const uint64_t cand_share = candidateShare(candidates);
+    std::vector<double> node_us(nodes_.size(), 0.0);
+    for (size_t s = 0; s < shards_.size(); ++s) {
+        const uint32_t owner = firstLiveReplica(s);
+        node_us[owner] += nodes_[owner]->shardJobUs(job_, shards_[s].rows,
+                                                    batch, cand_share);
+    }
+    t.compute_us = *std::max_element(node_us.begin(), node_us.end());
+
+    // Gather: per-shard partial normalizer + accurate candidates.
+    const uint64_t result_bytes = batch * 8 + cand_share * batch * 8;
+    t.gather_us = cfg_.network.latency * 1e6 +
+                  static_cast<double>(shards_.size() * result_bytes) /
+                      cfg_.network.bandwidth * 1e6;
+    return t;
 }
 
 std::vector<runtime::ClassifierOutput>

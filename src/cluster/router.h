@@ -28,10 +28,8 @@
 #ifndef ENMC_CLUSTER_ROUTER_H
 #define ENMC_CLUSTER_ROUTER_H
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "cluster/config.h"
@@ -82,16 +80,36 @@ class ClusterRouter
                                             uint64_t candidates,
                                             double now_us);
 
+    /** The three simulated terms of one batch's service time (us). */
+    struct ServiceBreakdown
+    {
+        double scatter_us = 0.0; //!< feature scatter + per-shard handoff
+        double compute_us = 0.0; //!< the slowest node's summed shard work
+        double gather_us = 0.0;  //!< partial-result gather at the root
+
+        double totalUs() const
+        {
+            return scatter_us + compute_us + gather_us;
+        }
+    };
+
     /**
-     * Simulated scatter -> compute -> gather time (us) of one batch over
-     * the current health state: per-shard feature scatter + per-hop node
-     * handoff, the slowest node's summed shard work (shards fail over to
-     * the first live replica), and the result gather. All network and
-     * handoff terms vanish on a single-node cluster, which therefore
-     * times bit-identically to the plain single-backend path. Memoized
-     * per (batch, candidates, health epoch).
+     * Simulated scatter -> compute -> gather terms of one batch over the
+     * current health state: one feature message per shard plus a node
+     * handoff each, the slowest node's summed shard work (shards fail
+     * over to the first live replica), and one result message per shard.
+     * The network and handoff terms are zero on a single-node cluster,
+     * which therefore times bit-identically to the plain single-backend
+     * path. Re-derived on every call from the live node set; the node
+     * jobs behind it go through each node's `JobMemo`.
      */
-    double serviceUs(uint64_t batch, uint64_t candidates);
+    ServiceBreakdown serviceBreakdown(uint64_t batch, uint64_t candidates);
+
+    /** `serviceBreakdown(batch, candidates).totalUs()`. */
+    double serviceUs(uint64_t batch, uint64_t candidates)
+    {
+        return serviceBreakdown(batch, candidates).totalUs();
+    }
 
     /**
      * Functional forward of a batch: every shard's owner runs its label
@@ -132,10 +150,8 @@ class ClusterRouter
     mutable std::mutex mutex_;
     uint64_t batches_routed_ = 0;
     bool scripted_kill_fired_ = false;
-    /** Bumped on every health transition; keys the service-time memo. */
+    /** Bumped on every health transition; tags the node.kill instant. */
     uint64_t health_epoch_ = 0;
-    std::map<std::tuple<uint64_t, uint64_t, uint64_t>, double>
-        service_memo_;
 
     // Router-level stats ("cluster.router").
     StatGroup stats_;

@@ -196,6 +196,18 @@ CpuBackend::runJob(const JobSpec &spec) const
     return res;
 }
 
+// ------------------------------------------------------------ job memo
+
+const TimingResult &
+JobMemo::runJob(const JobSpec &spec) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = results_.find(spec);
+    if (it == results_.end())
+        it = results_.emplace(spec, backend_.runJob(spec)).first;
+    return it->second;
+}
+
 // ------------------------------------------------------------- registry
 
 BackendRegistry::BackendRegistry()

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,29 @@ class CpuBackend : public Backend
 
     bool screening_;
     nmp::CpuConfig cpu_;
+};
+
+/**
+ * `runJob` of one backend instance, memoised on the whole `JobSpec`.
+ * Every timing model is deterministic in the spec, so each distinct
+ * spec is simulated once; the lock is held while a miss runs, so
+ * concurrent callers never simulate the same spec twice. The memo sits
+ * beside the backend rather than inside `Backend::runJob`, whose callers
+ * may repeat it on purpose (to time the simulator, or to check it).
+ */
+class JobMemo
+{
+  public:
+    /** `backend` must outlive the memo. */
+    explicit JobMemo(const Backend &backend) : backend_(backend) {}
+
+    /** The backend's `runJob(spec)`, simulated on the first call only. */
+    const TimingResult &runJob(const JobSpec &spec) const;
+
+  private:
+    const Backend &backend_;
+    mutable std::mutex mutex_;
+    mutable std::map<JobSpec, TimingResult> results_;
 };
 
 /** Builds a backend against a system configuration. */

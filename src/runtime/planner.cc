@@ -380,8 +380,10 @@ AutoBackend::AutoBackend(const SystemConfig &cfg, PlannerConfig plan)
         ENMC_FATAL("ENMC_PLAN_KILL_BACKEND '", plan.kill_backend,
                    "' did not resolve against the registry (resolved "
                    "candidates: ", join(resolved), ")");
-    for (const auto &name : resolved)
+    for (const auto &name : resolved) {
         backends_.push_back(registry.create(name, cfg));
+        jobs_.emplace_back(*backends_.back());
+    }
     plan.candidates = resolved;
     planner_ = std::make_unique<OffloadPlanner>(plan, std::move(resolved));
 }
@@ -408,7 +410,7 @@ AutoBackend::runSlice(const arch::RankTask &task) const
     bin.hidden = task.hidden;
 
     const OffloadPlanner::Decision d = planner_->plan(bin);
-    const arch::RankResult r = candidate(d.backend).runSlice(task);
+    const arch::RankResult r = backends_[d.backend]->runSlice(task);
     planner_->observe(bin, d.backend,
                       cyclesToSeconds(r.cycles, cfg_.timing.freq_hz) * 1e6);
     return r;
@@ -420,19 +422,7 @@ AutoBackend::runPlanned(const JobSpec &spec) const
     const PlanBin bin = OffloadPlanner::binFor(spec);
     const OffloadPlanner::Decision d = planner_->plan(bin);
 
-    TimingResult timing;
-    {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        const MemoKey key{d.backend,       spec.batch,
-                          spec.candidates, spec.categories,
-                          spec.hidden,     spec.reduced,
-                          static_cast<uint8_t>(spec.quant), spec.sigmoid};
-        auto it = memo_.find(key);
-        if (it == memo_.end())
-            it = memo_.emplace(key, candidate(d.backend).runJob(spec))
-                     .first;
-        timing = it->second;
-    }
+    const TimingResult &timing = jobs_[d.backend].runJob(spec);
     planner_->observe(bin, d.backend, timing.seconds * 1e6);
     return {timing, planner_->names()[d.backend], d.kind};
 }

@@ -27,6 +27,7 @@
 #ifndef ENMC_RUNTIME_PLANNER_H
 #define ENMC_RUNTIME_PLANNER_H
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -224,10 +225,10 @@ class OffloadPlanner
 /**
  * The `"auto"` registry backend: a planner in front of real candidate
  * backends. `runJob` plans per call, routes to the chosen backend
- * (memoizing each candidate's deterministic timing per job shape) and
- * feeds the observed latency back. Construction fails loudly — listing
- * the candidate set — when fewer than two candidates resolve against the
- * registry; a silent single-backend planner would defeat the point.
+ * (through that candidate's `JobMemo`) and feeds the observed latency
+ * back. Construction fails loudly — listing the candidate set — when
+ * fewer than two candidates resolve against the registry; a silent
+ * single-backend planner would defeat the point.
  */
 class AutoBackend : public Backend
 {
@@ -253,18 +254,13 @@ class AutoBackend : public Backend
     OffloadPlanner &planner() const { return *planner_; }
 
   private:
-    const Backend &candidate(size_t idx) const { return *backends_[idx]; }
-
     std::vector<std::unique_ptr<Backend>> backends_;
+    /** One per candidate, in `backends_` order: each probe is simulated
+     *  once per job spec. */
+    std::deque<JobMemo> jobs_;
     // The planner adapts across const runJob calls (logically the
     // backend's routing state, not its configuration).
     std::unique_ptr<OffloadPlanner> planner_;
-    mutable std::mutex memo_mutex_;
-    // Candidate timings are deterministic in (backend, job shape), so
-    // each probe is simulated once per shape.
-    using MemoKey = std::tuple<size_t, uint64_t, uint64_t, uint64_t,
-                               uint64_t, uint64_t, uint8_t, bool>;
-    mutable std::map<MemoKey, TimingResult> memo_;
 };
 
 } // namespace enmc::runtime

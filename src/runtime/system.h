@@ -15,6 +15,7 @@
 #ifndef ENMC_RUNTIME_SYSTEM_H
 #define ENMC_RUNTIME_SYSTEM_H
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -81,6 +82,9 @@ struct JobSpec
     uint64_t batch = 1;
     uint64_t candidates = 0;       //!< total candidate budget (whole l)
     bool sigmoid = false;
+
+    /** Field-wise order: a JobSpec keys the timing memo (JobMemo). */
+    auto operator<=>(const JobSpec &) const = default;
 };
 
 /** Timing + traffic outcome of one job. */

@@ -48,23 +48,12 @@ double
 BackendDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
                              uint64_t screened)
 {
-    const auto key = std::make_pair(batch, candidates);
-    {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        auto it = memo_.find(key);
-        if (it != memo_.end())
-            return deductBypasses(it->second.full_us, it->second.screen_us,
-                                  batch, screened);
-    }
     runtime::JobSpec spec = job_;
     spec.batch = batch;
     spec.candidates = candidates;
-    const runtime::TimingResult t = backend_->runJob(spec);
-    const Timing timing{t.seconds * 1e6, screenerBusyUs(t, freq_hz_)};
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    memo_.emplace(key, timing);
-    return deductBypasses(timing.full_us, timing.screen_us, batch,
-                          screened);
+    const runtime::TimingResult &t = jobs_.runJob(spec);
+    return deductBypasses(t.seconds * 1e6, screenerBusyUs(t, freq_hz_),
+                          batch, screened);
 }
 
 std::vector<runtime::ClassifierOutput>
@@ -163,8 +152,9 @@ double
 ClusterDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
                              uint64_t /*screened*/)
 {
-    // No memo here: the router memoizes per health epoch, so a node kill
-    // re-times subsequent batches instead of serving frozen numbers.
+    // No memo here: the router re-times every batch over the live nodes
+    // (their own JobMemos make that cheap), so a node kill re-times the
+    // batches after it instead of serving frozen numbers.
     // `screened` is ignored: the fabric does not support the candidate
     // cache (its forward path screens inside each node), so timing stays
     // conservative and exact.

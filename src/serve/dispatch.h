@@ -17,7 +17,6 @@
 #ifndef ENMC_SERVE_DISPATCH_H
 #define ENMC_SERVE_DISPATCH_H
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -109,30 +108,18 @@ class BackendDispatcher : public Dispatcher
 
   private:
     std::unique_ptr<runtime::Backend> backend_;
+    /** Replay costs O(distinct batch shapes) backend runs. */
+    runtime::JobMemo jobs_{*backend_};
     runtime::JobSpec job_;
     double freq_hz_;
-    /**
-     * The timing model is deterministic in (batch, candidates); the memo
-     * makes replay O(distinct shapes) backend runs. Each entry keeps the
-     * full-batch time plus the screener-busy share so bypassed items
-     * deduct their screening time linearly: us(B, C, s) =
-     * full − screen · (B − s) / B, exactly `full` at s == B.
-     */
-    struct Timing
-    {
-        double full_us = 0.0;
-        double screen_us = 0.0;
-    };
-    std::map<std::pair<uint64_t, uint64_t>, Timing> memo_;
-    std::mutex memo_mutex_;
 };
 
 /**
  * Adaptive dispatch: every batch is routed by the offload planner to the
- * argmin-cost candidate backend. Unlike `BackendDispatcher` there is no
- * (batch, candidates) service-time memo here — that would freeze the
- * planner's first decision per shape forever; the `AutoBackend` memoizes
- * per (backend, shape) underneath instead, so re-planning stays cheap.
+ * argmin-cost candidate backend. Nothing is memoised per batch shape
+ * here — that would freeze the planner's first decision per shape
+ * forever; the `AutoBackend` keeps one `JobMemo` per candidate
+ * underneath instead, so re-planning stays cheap.
  */
 class PlannedDispatcher : public Dispatcher
 {

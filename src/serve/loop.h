@@ -109,8 +109,9 @@ class ServeLoop
     /**
      * Simulated service time (us) of a batch: per-offload handoff plus
      * the dispatcher's batched service latency. Deterministic given the
-     * dispatch history (a single backend memoizes on (batch, candidates);
-     * the cluster re-times after every health transition).
+     * dispatch history (each backend's `runJob` goes through a
+     * `runtime::JobMemo`; the cluster re-times after every health
+     * transition).
      */
     double batchServiceUs(uint64_t batch, uint64_t candidates);
 

@@ -264,9 +264,9 @@ TEST_F(ClusterServingTest, MidRunKillServesEveryAnswerCorrectly)
 
 TEST_F(ClusterServingTest, KilledRunReplaysReproducibly)
 {
-    // The failover re-times in-flight batches (health-epoch memo); two
-    // replays of the same killed run must still agree on every
-    // timestamp and every bit.
+    // The failover re-times the batches after the kill; two replays of
+    // the same killed run must still agree on every timestamp and every
+    // bit.
     auto clf = makeClassifier(4);
     ServeConfig cfg = clusterConfig(4, 2);
     cfg.cluster.kill.node = 2;

@@ -4,7 +4,7 @@
  * (RankPartitioner at node granularity, including degenerate shapes),
  * chained-declustering replica placement, the NodeBackend health state
  * machine, least-loaded routing, scripted kills + failover, and the
- * epoch-keyed service-time model.
+ * live-set scatter/compute/gather service-time model.
  */
 
 #include <gtest/gtest.h>

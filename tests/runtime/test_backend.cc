@@ -2,13 +2,14 @@
  * @file
  * Tests for the execution-backend layer: registry lookup, capability
  * reporting, run-to-run determinism of every registered backend, the
- * single shared task layout, and bit-identical thread-pooled functional
- * execution.
+ * `runJob` memo, the single shared task layout, and bit-identical
+ * thread-pooled functional execution.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "runtime/backend.h"
 #include "runtime/partition.h"
@@ -86,19 +87,23 @@ TEST(BackendRegistry, ContainsReflectsRegistration)
 
 TEST(BackendRegistry, DuplicateRegistrationReplacesTheFactory)
 {
+    // The factories outlive this test in the global registry (later
+    // tests create every registered name), so they count through state
+    // they own rather than through references to this frame.
     auto &reg = BackendRegistry::instance();
-    int first_calls = 0, second_calls = 0;
-    reg.add("test-dup", [&](const SystemConfig &cfg) {
-        ++first_calls;
+    auto first_calls = std::make_shared<int>(0);
+    auto second_calls = std::make_shared<int>(0);
+    reg.add("test-dup", [first_calls](const SystemConfig &cfg) {
+        ++*first_calls;
         return std::make_unique<EnmcBackend>(cfg);
     });
-    reg.add("test-dup", [&](const SystemConfig &cfg) {
-        ++second_calls;
+    reg.add("test-dup", [second_calls](const SystemConfig &cfg) {
+        ++*second_calls;
         return std::make_unique<EnmcBackend>(cfg);
     });
     (void)createBackend("test-dup");
-    EXPECT_EQ(first_calls, 0) << "replaced factory must never run";
-    EXPECT_EQ(second_calls, 1);
+    EXPECT_EQ(*first_calls, 0) << "replaced factory must never run";
+    EXPECT_EQ(*second_calls, 1);
 }
 
 TEST(BackendRegistry, FunctionalCapabilityIsTheEnmcFamilyOnly)
@@ -169,6 +174,131 @@ TEST(BackendDeterminism, BackendsRankRelativeToEachOther)
     const double cpu_full = createBackend("cpu-full")->runJob(spec).seconds;
     EXPECT_LT(enmc, td);       // dual-module INT4 screening wins
     EXPECT_LT(td, cpu_full);   // any NMP scheme beats the CPU baseline
+}
+
+// ------------------------------------------------------------- job memo
+
+/** A timing model that counts its runs; each run's result is distinct. */
+class CountingBackend : public Backend
+{
+  public:
+    CountingBackend() : Backend(SystemConfig{}) {}
+
+    std::string name() const override { return "test-counting"; }
+    BackendCapabilities capabilities() const override { return {}; }
+    arch::RankResult runSlice(const arch::RankTask &) const override
+    {
+        return {};
+    }
+    TimingResult runJob(const JobSpec &spec) const override
+    {
+        TimingResult r;
+        r.rank_cycles = ++runs;
+        r.seconds = static_cast<double>(spec.categories);
+        return r;
+    }
+
+    mutable uint64_t runs = 0;
+};
+
+TEST(JobMemo, RunsTheBackendOncePerDistinctSpec)
+{
+    const CountingBackend backend;
+    const JobMemo memo(backend);
+    const std::vector<JobSpec> specs = {smallJob(), smallJob(4096),
+                                        smallJob(65536, 4)};
+    for (int pass = 0; pass < 3; ++pass) {
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const TimingResult &r = memo.runJob(specs[i]);
+            EXPECT_EQ(r.rank_cycles, i + 1) << "a hit returns the first run";
+            EXPECT_EQ(r.seconds, static_cast<double>(specs[i].categories));
+        }
+    }
+    EXPECT_EQ(backend.runs, specs.size());
+}
+
+TEST(JobMemo, EverySingleFieldChangeMisses)
+{
+    const JobSpec base = smallJob();
+    std::vector<std::pair<const char *, JobSpec>> variants;
+    const auto vary = [&](const char *field, auto change) {
+        JobSpec spec = base;
+        change(spec);
+        variants.emplace_back(field, spec);
+    };
+    vary("categories", [](JobSpec &s) { ++s.categories; });
+    vary("hidden", [](JobSpec &s) { ++s.hidden; });
+    vary("reduced", [](JobSpec &s) { ++s.reduced; });
+    vary("quant", [](JobSpec &s) { s.quant = tensor::QuantBits::Int8; });
+    vary("batch", [](JobSpec &s) { ++s.batch; });
+    vary("candidates", [](JobSpec &s) { ++s.candidates; });
+    vary("sigmoid", [](JobSpec &s) { s.sigmoid = !s.sigmoid; });
+
+    const CountingBackend backend;
+    const JobMemo memo(backend);
+    (void)memo.runJob(base);
+    for (const auto &[field, spec] : variants) {
+        const uint64_t before = backend.runs;
+        (void)memo.runJob(spec);
+        EXPECT_EQ(backend.runs, before + 1) << field << " must miss";
+        (void)memo.runJob(spec);
+        EXPECT_EQ(backend.runs, before + 1) << field << " must then hit";
+    }
+    (void)memo.runJob(base);
+    EXPECT_EQ(backend.runs, variants.size() + 1);
+}
+
+void
+expectSameTiming(const TimingResult &a, const TimingResult &b,
+                 const std::string &name)
+{
+#define EXPECT_FIELD(f) EXPECT_EQ(a.f, b.f) << name << ": " #f
+    EXPECT_FIELD(seconds);
+    EXPECT_FIELD(rank_cycles);
+    EXPECT_FIELD(extrapolated);
+    EXPECT_FIELD(ranks);
+    EXPECT_FIELD(rank.cycles);
+    EXPECT_FIELD(rank.instructions);
+    EXPECT_FIELD(rank.generated_instructions);
+    EXPECT_FIELD(rank.screen_bytes);
+    EXPECT_FIELD(rank.exec_bytes);
+    EXPECT_FIELD(rank.output_bytes);
+    EXPECT_FIELD(rank.screener_busy);
+    EXPECT_FIELD(rank.executor_busy);
+    EXPECT_FIELD(rank.candidates);
+    EXPECT_FIELD(rank.dram_reads);
+    EXPECT_FIELD(rank.dram_writes);
+    EXPECT_FIELD(rank.dram_acts);
+    EXPECT_FIELD(rank.dram_refs);
+    EXPECT_FIELD(rank.peak_weight_buf);
+    EXPECT_FIELD(rank.peak_psum_buf);
+    EXPECT_FIELD(rank.peak_exec_buf);
+    EXPECT_FIELD(rank.peak_output_buf);
+    EXPECT_FIELD(rank.faults.injected_words);
+    EXPECT_FIELD(rank.faults.corrected);
+    EXPECT_FIELD(rank.faults.detected);
+    EXPECT_FIELD(rank.faults.escaped);
+    EXPECT_FIELD(rank.uncorrectable_words);
+    EXPECT_FIELD(rank.ecc_redundancy_reads);
+    EXPECT_FIELD(rank.ecc_decode_cycles);
+    EXPECT_FIELD(rank.degraded_candidates);
+    EXPECT_FIELD(rank.fault_retries);
+    EXPECT_FIELD(rank.logits);
+    EXPECT_FIELD(rank.candidate_ids);
+#undef EXPECT_FIELD
+}
+
+TEST(JobMemo, MemoisedResultEqualsAFreshRunOnEveryBackend)
+{
+    const JobSpec spec = smallJob();
+    for (const auto &name : backendNames()) {
+        if (name == "auto")
+            continue; // adaptive: consecutive runs probe other candidates
+        const auto backend = createBackend(name);
+        const JobMemo memo(*backend);
+        (void)memo.runJob(spec);
+        expectSameTiming(memo.runJob(spec), backend->runJob(spec), name);
+    }
 }
 
 // --------------------------------------------------------------- layout

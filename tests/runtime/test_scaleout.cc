@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the scale-out (multi-node) ENMC model: the timing model in
- * runtime/scaleout.h and the functional scatter/gather through the
- * cluster router.
+ * Tests for the scale-out (multi-node) ENMC model, which is the cluster
+ * router: its scatter / compute / gather timing terms on a failure-free,
+ * replication-1 cluster, and the functional scatter/gather through it.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "cluster/router.h"
-#include "runtime/scaleout.h"
 #include "screening/trainer.h"
 #include "tensor/topk.h"
 #include "workloads/synthetic.h"
@@ -31,26 +30,38 @@ globalJob(uint64_t l = 10'000'000)
     return spec;
 }
 
+/** Paper Section 8's scale-out: one shard per node, no replication, no
+ *  per-shard handoff. */
+cluster::ClusterConfig
+scaleOut(uint64_t nodes)
+{
+    cluster::ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.replication = 1;
+    cfg.node_handoff_us = 0.0;
+    return cfg;
+}
+
+cluster::ClusterRouter::ServiceBreakdown
+timeOn(const cluster::ClusterConfig &cfg, const JobSpec &spec)
+{
+    return cluster::ClusterRouter(cfg, spec)
+        .serviceBreakdown(spec.batch, spec.candidates);
+}
+
 TEST(ScaleOut, SingleNodeHasNoNetworkCost)
 {
-    ScaleOutConfig cfg;
-    cfg.nodes = 1;
-    const ScaleOutResult r = runScaleOut(cfg, globalJob());
-    EXPECT_EQ(r.broadcast_seconds, 0.0);
-    EXPECT_EQ(r.gather_seconds, 0.0);
-    EXPECT_GT(r.classification_seconds, 0.0);
+    const auto r = timeOn(scaleOut(1), globalJob());
+    EXPECT_EQ(r.scatter_us, 0.0);
+    EXPECT_EQ(r.gather_us, 0.0);
+    EXPECT_GT(r.compute_us, 0.0);
 }
 
 TEST(ScaleOut, ClassificationTimeShrinksWithNodes)
 {
-    ScaleOutConfig one;
-    one.nodes = 1;
-    ScaleOutConfig eight;
-    eight.nodes = 8;
-    const ScaleOutResult r1 = runScaleOut(one, globalJob());
-    const ScaleOutResult r8 = runScaleOut(eight, globalJob());
-    const double ratio =
-        r1.classification_seconds / r8.classification_seconds;
+    const auto r1 = timeOn(scaleOut(1), globalJob());
+    const auto r8 = timeOn(scaleOut(8), globalJob());
+    const double ratio = r1.compute_us / r8.compute_us;
     EXPECT_GT(ratio, 5.0);
     EXPECT_LT(ratio, 10.0);
 }
@@ -60,37 +71,28 @@ TEST(ScaleOut, SpeedupSaturatesWhenNetworkDominates)
     // A small problem: node work shrinks below the fixed network cost.
     const JobSpec small = globalJob(200'000);
     double prev_total = 1e9;
-    double best_eff = 0.0;
-    const ScaleOutResult solo = runScaleOut(ScaleOutConfig{1, {}, {}},
-                                            small);
+    const double solo = timeOn(scaleOut(1), small).totalUs();
     for (uint64_t n : {2ull, 8ull, 32ull}) {
-        ScaleOutConfig cfg;
-        cfg.nodes = n;
-        const ScaleOutResult r = runScaleOut(cfg, small);
-        const double eff = solo.total() / (r.total() * n);
-        best_eff = std::max(best_eff, eff);
-        EXPECT_LE(r.total(), prev_total * 2.0); // never catastrophic
-        prev_total = r.total();
+        const double total = timeOn(scaleOut(n), small).totalUs();
+        EXPECT_LE(total, prev_total * 2.0); // never catastrophic
+        prev_total = total;
     }
     // Parallel efficiency decays at this size.
-    const ScaleOutResult wide = runScaleOut(ScaleOutConfig{32, {}, {}},
-                                            small);
-    EXPECT_LT(solo.total() / (wide.total() * 32), 0.8);
+    const double wide = timeOn(scaleOut(32), small).totalUs();
+    EXPECT_LT(solo / (wide * 32), 0.8);
 }
 
 TEST(ScaleOut, SlowNetworkHurtsTotal)
 {
-    ScaleOutConfig fast;
-    fast.nodes = 8;
-    ScaleOutConfig slow = fast;
+    const cluster::ClusterConfig fast = scaleOut(8);
+    cluster::ClusterConfig slow = fast;
     slow.network.bandwidth = 1e9; // 8 Gb/s
     slow.network.latency = 100e-6;
     const JobSpec spec = globalJob(1'000'000);
-    const ScaleOutResult rf = runScaleOut(fast, spec);
-    const ScaleOutResult rs = runScaleOut(slow, spec);
-    EXPECT_GT(rs.total(), rf.total());
-    EXPECT_GT(rs.gather_seconds + rs.broadcast_seconds,
-              rf.gather_seconds + rf.broadcast_seconds);
+    const auto rf = timeOn(fast, spec);
+    const auto rs = timeOn(slow, spec);
+    EXPECT_GT(rs.totalUs(), rf.totalUs());
+    EXPECT_GT(rs.gather_us + rs.scatter_us, rf.gather_us + rf.scatter_us);
 }
 
 class ScaleOutFunctional : public ::testing::Test
@@ -140,10 +142,8 @@ clusterForward(uint64_t nodes, const nn::Classifier &classifier,
                const screening::Screener &screener,
                const std::vector<tensor::Vector> &h_batch, size_t k)
 {
-    cluster::ClusterConfig cfg;
-    cfg.nodes = nodes;
-    cfg.replication = 1;
-    cluster::ClusterRouter router(cfg, globalJob(classifier.categories()));
+    cluster::ClusterRouter router(scaleOut(nodes),
+                                  globalJob(classifier.categories()));
     return router.computeBatch(classifier, screener, h_batch, k,
                                /*ranks=*/2);
 }
