@@ -16,8 +16,8 @@ ClusterNode::nodeSystem(uint32_t id, const ClusterConfig &cfg)
 }
 
 ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
-    : backend_(id, runtime::createBackend(cfg.node_backend, nodeSystem(id, cfg)),
-               cfg.node.resilience),
+    : id_(id),
+      backend_(runtime::createBackend(cfg.node_backend, nodeSystem(id, cfg))),
       system_(nodeSystem(id, cfg)),
       stats_("cluster.node." + std::to_string(id)),
       stat_dispatched_(stats_.addCounter(
@@ -33,16 +33,15 @@ ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
 void
 ClusterNode::kill()
 {
-    if (!backend_.alive())
+    if (!alive_)
         return;
-    backend_.kill();
+    alive_ = false;
     ++stat_killed_;
 }
 
 void
 ClusterNode::recordDispatch(uint64_t requests)
 {
-    backend_.recordDispatch();
     ++stat_dispatched_;
     stat_requests_ += requests;
 }
@@ -65,7 +64,7 @@ ClusterNode::runShard(const nn::Classifier &classifier,
                       uint64_t ranks, uint64_t row_begin,
                       uint64_t rows) const
 {
-    ENMC_ASSERT(backend_.alive(), "functional shard routed to a dead node");
+    ENMC_ASSERT(alive_, "functional shard routed to a dead node");
     return system_.runFunctionalRange(classifier, screener, h_batch, ranks,
                                       row_begin, rows);
 }

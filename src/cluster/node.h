@@ -1,10 +1,11 @@
 /**
  * @file
- * One simulated ENMC node of the cluster fabric: a `runtime::NodeBackend`
- * (health + load + timing) paired with the node's own `EnmcSystem` for
- * functional shard execution, plus per-node observability
- * ("cluster.node.<id>" stat groups — the per-node view the router's
- * scatter/gather accounting is checked against).
+ * One simulated ENMC node of the cluster fabric: the registry backend
+ * that times the node's shard jobs (through its `JobMemo`), the node's
+ * own `EnmcSystem` for functional shard execution, an alive flag, and
+ * per-node observability ("cluster.node.<id>" stat groups — the
+ * per-node view the router's scatter/gather accounting is checked
+ * against). `kill()` marks a node dead; dead is final.
  */
 
 #ifndef ENMC_CLUSTER_NODE_H
@@ -16,7 +17,7 @@
 #include "cluster/config.h"
 #include "common/stats.h"
 #include "obs/registry.h"
-#include "runtime/node_backend.h"
+#include "runtime/backend.h"
 #include "runtime/system.h"
 
 namespace enmc::cluster {
@@ -26,12 +27,10 @@ class ClusterNode
   public:
     ClusterNode(uint32_t id, const ClusterConfig &cfg);
 
-    uint32_t id() const { return backend_.id(); }
-    runtime::NodeHealth health() const { return backend_.health(); }
-    bool alive() const { return backend_.alive(); }
-    uint64_t load() const { return backend_.load(); }
-    runtime::NodeBackend &backend() { return backend_; }
+    uint32_t id() const { return id_; }
+    bool alive() const { return alive_; }
 
+    /** Mark the node dead; a second kill is a no-op. */
     void kill();
 
     /** Tally one shard-batch dispatched to this node. */
@@ -49,7 +48,8 @@ class ClusterNode
      * Functional execution of classifier rows
      * [row_begin, row_begin + rows) on this node's simulated ranks: the
      * shard's own logit rows and global candidate ids (see
-     * EnmcSystem::runFunctionalRange).
+     * EnmcSystem::runFunctionalRange). Not reentrant: a node runs its
+     * shards one at a time.
      */
     runtime::EnmcSystem::FunctionalResult
     runShard(const nn::Classifier &classifier,
@@ -63,8 +63,10 @@ class ClusterNode
     static runtime::SystemConfig nodeSystem(uint32_t id,
                                             const ClusterConfig &cfg);
 
-    runtime::NodeBackend backend_;
-    runtime::JobMemo jobs_{backend_};
+    uint32_t id_;
+    bool alive_ = true;
+    std::unique_ptr<runtime::Backend> backend_;
+    runtime::JobMemo jobs_{*backend_};
     runtime::EnmcSystem system_;
 
     // Per-node stats ("cluster.node.<id>").

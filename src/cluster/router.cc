@@ -77,11 +77,11 @@ ClusterRouter::killNodeLocked(uint32_t id, double now_us)
         return;
     nodes_[id]->kill();
     ++stat_kills_;
-    ++health_epoch_;
     obs::Tracer &tracer = obs::Tracer::instance();
     if (tracer.enabled())
         tracer.instant("node.kill", "cluster", obs::kClusterPid, id, now_us,
-                       {{"epoch", static_cast<double>(health_epoch_)}});
+                       {{"nodeKills",
+                         static_cast<double>(stat_kills_.value())}});
 }
 
 void
@@ -91,7 +91,7 @@ ClusterRouter::killNode(uint32_t id)
     killNodeLocked(id, obs::Tracer::instance().nowUs());
 }
 
-std::vector<ClusterRouter::ShardAssignment>
+std::vector<uint32_t>
 ClusterRouter::routeBatch(uint64_t batch, uint64_t candidates,
                           double now_us)
 {
@@ -102,33 +102,20 @@ ClusterRouter::routeBatch(uint64_t batch, uint64_t candidates,
         killNodeLocked(static_cast<uint32_t>(cfg_.kill.node), now_us);
     }
 
-    std::vector<ShardAssignment> assignments;
-    assignments.reserve(shards_.size());
+    std::vector<uint32_t> owners(shards_.size());
     obs::Tracer &tracer = obs::Tracer::instance();
     for (size_t s = 0; s < shards_.size(); ++s) {
-        const std::vector<uint32_t> replicas = replicasOf(s);
-        const ClusterNode *best = nullptr;
-        for (uint32_t id : replicas) {
-            const ClusterNode &cand = *nodes_[id];
-            if (!cand.alive())
-                continue;
-            if (best == nullptr || cand.load() < best->load() ||
-                (cand.load() == best->load() && cand.id() < best->id()))
-                best = &cand;
-        }
-        if (best == nullptr)
-            ENMC_FATAL("no live replica left for shard ", s,
-                       " (replication ", cfg_.replication, ")");
-        if (!nodes_[replicas.front()]->alive())
+        const uint32_t owner = firstLiveReplica(s);
+        owners[s] = owner;
+        if (!nodes_[s % nodes_.size()]->alive())
             ++stat_reroutes_;
-        if (!best->alive())
-            ++stat_dead_dispatches_; // FATAL above keeps this at 0
-        nodes_[best->id()]->recordDispatch(batch);
+        if (!nodes_[owner]->alive())
+            ++stat_dead_dispatches_; // firstLiveReplica keeps this at 0
+        nodes_[owner]->recordDispatch(batch);
         ++stat_shard_dispatches_;
-        assignments.push_back({s, best->id()});
         if (tracer.enabled())
             tracer.instant("shard.dispatch", "cluster", obs::kClusterPid,
-                           best->id(), now_us,
+                           owner, now_us,
                            {{"shard", static_cast<double>(s)},
                             {"batch", static_cast<double>(batch)},
                             {"candidates",
@@ -138,8 +125,8 @@ ClusterRouter::routeBatch(uint64_t batch, uint64_t candidates,
     ++batches_routed_;
     ++stat_batches_;
     stat_live_nodes_.sample(static_cast<double>(liveNodeCount()));
-    stat_fanout_.sample(static_cast<double>(assignments.size()));
-    return assignments;
+    stat_fanout_.sample(static_cast<double>(owners.size()));
+    return owners;
 }
 
 uint32_t
@@ -148,7 +135,8 @@ ClusterRouter::firstLiveReplica(size_t shard) const
     // Chained declustering, as in replicasOf(), but not bounded by the
     // timing shard map: ceil slicing can give the functional shard map
     // more shards than the timing map (4 nodes: 4 shards over 7 rows, 3
-    // over 9).
+    // over 9). Routing, timing and compute all take this owner, so the
+    // node the stats and the trace report is the node the clock charges.
     for (uint64_t r = 0; r < cfg_.replication; ++r) {
         const uint32_t id = static_cast<uint32_t>((shard + r) % nodes_.size());
         if (nodes_[id]->alive())
@@ -217,21 +205,25 @@ ClusterRouter::computeBatch(const nn::Classifier &classifier,
     const std::vector<runtime::RowSlice> fshards =
         runtime::RankPartitioner::partition(
             0, l, std::min<uint64_t>(cfg_.nodes, l));
-    std::vector<uint32_t> owners(fshards.size());
+    std::vector<std::vector<size_t>> shards_of(nodes_.size());
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t s = 0; s < owners.size(); ++s)
-            owners[s] = firstLiveReplica(s);
+        for (size_t s = 0; s < fshards.size(); ++s)
+            shards_of[firstLiveReplica(s)].push_back(s);
     }
 
-    // Scatter: shards own disjoint label rows, so they execute
-    // concurrently; gatherShards merges them in shard order, which keeps
-    // the result bit-identical to the serial (and the single-node) run.
+    // Scatter: nodes run concurrently, and each runs its own shards in
+    // shard order, the serialisation the timing model charges (and one
+    // runShard at a time per node's EnmcSystem). Shards own disjoint
+    // label rows and gatherShards merges them in shard order, which
+    // keeps the result bit-identical to the serial (and the single-node)
+    // run.
     std::vector<runtime::EnmcSystem::FunctionalResult> parts(fshards.size());
-    parallelFor(0, fshards.size(), cfg_.node.sim_threads, [&](size_t s) {
-        parts[s] = nodes_[owners[s]]->runShard(classifier, screener, h_batch,
-                                               use_ranks, fshards[s].begin,
-                                               fshards[s].rows);
+    parallelFor(0, nodes_.size(), cfg_.node.sim_threads, [&](size_t n) {
+        for (const size_t s : shards_of[n])
+            parts[s] = nodes_[n]->runShard(classifier, screener, h_batch,
+                                           use_ranks, fshards[s].begin,
+                                           fshards[s].rows);
     });
     runtime::EnmcSystem::FunctionalResult gathered =
         runtime::gatherShards(std::move(parts), classifier.normalization());

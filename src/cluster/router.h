@@ -11,18 +11,20 @@
  * foreign shards, so losing a node spreads its load over several
  * survivors instead of doubling one).
  *
- * **Routing.** Every dispatched batch fans out to all owning shards;
- * each shard picks its least-loaded *live* replica (ties to the lowest
- * node id). Loads advance deterministically per routed batch, so the
- * whole assignment sequence is a pure function of the batch sequence
- * and the health history — replayable bit-for-bit.
+ * **Routing.** Every dispatched batch fans out to all owning shards,
+ * and shard s goes to its first live replica in chained order (its
+ * primary while that lives). One owner function, `firstLiveReplica`,
+ * serves routing, the service-time model and the functional run, so the
+ * per-node stats and the `shard.dispatch` trace name the node the
+ * simulated clock charges and the node that computes the shard. The
+ * assignment is a pure function of the kill history — replayable
+ * bit-for-bit.
  *
- * **Failover.** Node health is the `runtime::NodeBackend` state machine
- * (Alive -> Suspect -> Dead); a Dead node (scripted kill or blacklist)
- * is never routed to again, its shards fail over to the surviving
- * replicas, and the router dies loudly if a shard has no live replica
- * left. Merging is through `tensor::mergeTopK`, so a failover changes
- * *which node computed* a shard, never the answer.
+ * **Failover.** `ClusterNode::kill()` (scripted or by the operator)
+ * marks a node dead, and dead is final: its shards fail over to the
+ * next live replica in the chain, and the router dies loudly if a shard
+ * has no live replica left. Merging is through `tensor::mergeTopK`, so
+ * a failover changes *which node computed* a shard, never the answer.
  */
 
 #ifndef ENMC_CLUSTER_ROUTER_H
@@ -62,23 +64,16 @@ class ClusterRouter
      *  (the first entry is the shard's primary). */
     std::vector<uint32_t> replicasOf(size_t shard) const;
 
-    /** One shard's dispatch target for one batch. */
-    struct ShardAssignment
-    {
-        size_t shard = 0;
-        uint32_t node = 0;
-    };
-
     /**
      * Route one dispatched batch: fire any scripted kill that is due,
-     * then pick a live replica per shard (least-loaded, ties to the
-     * lowest id) and advance the load accounting. Called exactly once
-     * per dispatched batch, in both replay and live serving modes.
-     * Fatal when a shard has no live replica left.
+     * then dispatch each shard to its first live replica and tally the
+     * per-node and router stats. Called exactly once per dispatched
+     * batch, in both replay and live serving modes. Fatal when a shard
+     * has no live replica left.
+     * @return The owning node id of each shard, in shard order.
      */
-    std::vector<ShardAssignment> routeBatch(uint64_t batch,
-                                            uint64_t candidates,
-                                            double now_us);
+    std::vector<uint32_t> routeBatch(uint64_t batch, uint64_t candidates,
+                                     double now_us);
 
     /** The three simulated terms of one batch's service time (us). */
     struct ServiceBreakdown
@@ -94,10 +89,10 @@ class ClusterRouter
     };
 
     /**
-     * Simulated scatter -> compute -> gather terms of one batch over the
-     * current health state: one feature message per shard plus a node
-     * handoff each, the slowest node's summed shard work (shards fail
-     * over to the first live replica), and one result message per shard.
+     * Simulated scatter -> compute -> gather terms of one batch: one
+     * feature message per shard plus a node handoff each, the slowest
+     * node's summed shard work (each shard charged to the owner
+     * routeBatch dispatches it to), and one result message per shard.
      * The network and handoff terms are zero on a single-node cluster,
      * which therefore times bit-identically to the plain single-backend
      * path. Re-derived on every call from the live node set; the node
@@ -113,8 +108,9 @@ class ClusterRouter
 
     /**
      * Functional forward of a batch: every shard's owner runs its label
-     * rows through its node's simulated ranks (concurrently — shards are
-     * disjoint), `runtime::gatherShards` merges them in shard order and
+     * rows through its node's simulated ranks (owning nodes run
+     * concurrently, each through its own shards in shard order),
+     * `runtime::gatherShards` merges them in shard order and
      * normalizes once at the root, and the global top-k merges the
      * per-shard top-k lists through `tensor::mergeTopK`. Bit-identical
      * to `EnmcClassifier::forward` on the same classifier/screener for
@@ -135,9 +131,8 @@ class ClusterRouter
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Shard s's first live replica in chained order (steady-state
-     *  placement; no load bookkeeping). Fatal when none is live. Caller
-     *  holds mutex_. */
+    /** Shard s's owner: its first live replica in chained order. Fatal
+     *  when none is live. Caller holds mutex_. */
     uint32_t firstLiveReplica(size_t shard) const;
     void killNodeLocked(uint32_t id, double now_us);
     uint64_t candidateShare(uint64_t candidates) const;
@@ -150,8 +145,6 @@ class ClusterRouter
     mutable std::mutex mutex_;
     uint64_t batches_routed_ = 0;
     bool scripted_kill_fired_ = false;
-    /** Bumped on every health transition; tags the node.kill instant. */
-    uint64_t health_epoch_ = 0;
 
     // Router-level stats ("cluster.router").
     StatGroup stats_;

@@ -175,6 +175,8 @@ class EnmcSystem
      * (shard-local order); `candidates` are global row ids. Timing,
      * fault/ECC counters and `slice_cycles` cover this shard's ranks;
      * `probabilities` stay empty (gatherShards() normalizes once).
+     * One instance must not run it concurrently: its stat counters are
+     * unguarded (the ranks inside one run parallelize on their own).
      */
     FunctionalResult runFunctionalRange(
         const nn::Classifier &classifier,

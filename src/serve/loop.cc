@@ -200,31 +200,16 @@ ServeLoop::computeBatch(const std::vector<const Request *> &reqs,
     return hits;
 }
 
-StatGroup &
-ServeLoop::tenantStats(const std::string &tenant)
-{
-    std::lock_guard<std::mutex> lock(tenants_mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        it = tenants_.emplace(tenant, std::make_unique<TenantStats>(tenant))
-                 .first;
-    return it->second->group;
-}
-
 void
 ServeLoop::account(const Response &r)
 {
-    TenantStats *tenant = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(tenants_mutex_);
-        auto it = tenants_.find(r.tenant);
-        if (it == tenants_.end())
-            it = tenants_
-                     .emplace(r.tenant,
-                              std::make_unique<TenantStats>(r.tenant))
-                     .first;
-        tenant = it->second.get();
-    }
+    // Rejections are accounted on the submitting thread while the live
+    // executor accounts completions, so one lock covers every counter.
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    std::unique_ptr<TenantStats> &slot = tenants_[r.tenant];
+    if (!slot)
+        slot = std::make_unique<TenantStats>(r.tenant);
+    TenantStats *tenant = slot.get();
 
     ++stat_requests_;
     ++tenant->requests;
@@ -531,26 +516,18 @@ ServeLoop::start()
 }
 
 std::future<Response>
-ServeLoop::submit(Request r)
+ServeLoop::admitLive(Request r,
+                     const std::function<Admission(QueuedRequest)> &push)
 {
-    ENMC_ASSERT(live_, "submit() before start()");
     auto reply = std::make_shared<std::promise<Response>>();
     std::future<Response> fut = reply->get_future();
     r.arrival_us = wallUs();
-    const RequestId id = r.id;
-    const std::string tenant = r.tenant;
-    const double admit_us = r.arrival_us;
-    Admission a = Admission::Admitted;
-    if (classifier_ != nullptr && cfg_.compute_logits && r.hidden.empty())
-        a = Admission::RejectedInvalid;
-    else
-        a = queue_.tryPush(QueuedRequest{std::move(r), reply});
-    if (a != Admission::Admitted) {
-        Response resp;
-        resp.id = id;
-        resp.tenant = tenant;
-        resp.admission = a;
-        resp.admit_us = admit_us;
+    Response resp;
+    resp.id = r.id;
+    resp.tenant = r.tenant;
+    resp.admit_us = r.arrival_us;
+    resp.admission = push(QueuedRequest{std::move(r), reply});
+    if (resp.admission != Admission::Admitted) {
         account(resp);
         {
             std::lock_guard<std::mutex> lock(live_mutex_);
@@ -559,60 +536,36 @@ ServeLoop::submit(Request r)
         reply->set_value(std::move(resp));
     }
     return fut;
+}
+
+std::future<Response>
+ServeLoop::submit(Request r)
+{
+    ENMC_ASSERT(live_, "submit() before start()");
+    const bool invalid =
+        classifier_ != nullptr && cfg_.compute_logits && r.hidden.empty();
+    return admitLive(std::move(r), [&](QueuedRequest q) {
+        return invalid ? Admission::RejectedInvalid
+                       : queue_.tryPush(std::move(q));
+    });
 }
 
 std::future<Response>
 ServeLoop::submitBlocking(Request r)
 {
     ENMC_ASSERT(live_, "submitBlocking() before start()");
-    auto reply = std::make_shared<std::promise<Response>>();
-    std::future<Response> fut = reply->get_future();
-    r.arrival_us = wallUs();
-    const RequestId id = r.id;
-    const std::string tenant = r.tenant;
-    const double admit_us = r.arrival_us;
-    const Admission a = queue_.pushBlocking(QueuedRequest{std::move(r), reply});
-    if (a != Admission::Admitted) {
-        Response resp;
-        resp.id = id;
-        resp.tenant = tenant;
-        resp.admission = a;
-        resp.admit_us = admit_us;
-        account(resp);
-        {
-            std::lock_guard<std::mutex> lock(live_mutex_);
-            live_responses_.push_back(resp);
-        }
-        reply->set_value(std::move(resp));
-    }
-    return fut;
+    return admitLive(std::move(r), [&](QueuedRequest q) {
+        return queue_.pushBlocking(std::move(q));
+    });
 }
 
 std::future<Response>
 ServeLoop::submitOrdered(Request r)
 {
     ENMC_ASSERT(live_, "submitOrdered() before start()");
-    auto reply = std::make_shared<std::promise<Response>>();
-    std::future<Response> fut = reply->get_future();
-    r.arrival_us = wallUs();
-    const RequestId id = r.id;
-    const std::string tenant = r.tenant;
-    const double admit_us = r.arrival_us;
-    const Admission a = queue_.pushOrdered(QueuedRequest{std::move(r), reply});
-    if (a != Admission::Admitted) {
-        Response resp;
-        resp.id = id;
-        resp.tenant = tenant;
-        resp.admission = a;
-        resp.admit_us = admit_us;
-        account(resp);
-        {
-            std::lock_guard<std::mutex> lock(live_mutex_);
-            live_responses_.push_back(resp);
-        }
-        reply->set_value(std::move(resp));
-    }
-    return fut;
+    return admitLive(std::move(r), [&](QueuedRequest q) {
+        return queue_.pushOrdered(std::move(q));
+    });
 }
 
 void

@@ -184,9 +184,17 @@ class ServeLoop
     /** Fire a due scheduled swap, then count this batch as dispatched. */
     void fireScheduledSwap();
 
+    /**
+     * Live admission shared by the submit* calls: stamp the arrival,
+     * hand the request to `push`, and account and reply at once when it
+     * is not admitted.
+     */
+    std::future<Response>
+    admitLive(Request r,
+              const std::function<Admission(QueuedRequest)> &push);
+
     /** Tally one finished response into loop + tenant stats. */
     void account(const Response &r);
-    StatGroup &tenantStats(const std::string &tenant);
 
     void dispatcherLoop();
     void executorLoop();
@@ -235,7 +243,7 @@ class ServeLoop
     ScalarStat &stat_served_epoch_;
     struct TenantStats;
     std::map<std::string, std::unique_ptr<TenantStats>> tenants_;
-    std::mutex tenants_mutex_;
+    std::mutex stats_mutex_; //!< guards tenants_ and account()'s stats
     obs::StatRegistration stats_registration_;
 };
 

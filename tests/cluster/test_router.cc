@@ -2,9 +2,10 @@
  * @file
  * Tests for the cluster fabric's building blocks: the shard map
  * (RankPartitioner at node granularity, including degenerate shapes),
- * chained-declustering replica placement, the NodeBackend health state
- * machine, least-loaded routing, scripted kills + failover, and the
- * live-set scatter/compute/gather service-time model.
+ * chained-declustering replica placement, final node kills, routing to
+ * each shard's first live replica (the owner the clock charges),
+ * scripted kills + failover, and the live-set scatter/compute/gather
+ * service-time model.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 
 #include "cluster/backend.h"
 #include "cluster/router.h"
-#include "runtime/node_backend.h"
 
 namespace enmc::cluster {
 namespace {
@@ -82,52 +82,18 @@ TEST(Partitioner, NonDividingRemainderCoversExactly)
     EXPECT_EQ(slices.back().rows, 1u);
 }
 
-// --- node health state machine ------------------------------------------
+// --- node kills -----------------------------------------------------------
 
-TEST(NodeBackend, WalksAliveSuspectDead)
+TEST(ClusterNode, KillIsImmediate)
 {
-    fault::ResilienceConfig resilience;
-    resilience.blacklist_after = 3;
-    runtime::NodeBackend node(2, runtime::createBackend("enmc"),
-                              resilience);
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Alive);
+    ClusterNode node(0, ClusterConfig{});
     EXPECT_TRUE(node.alive());
-    EXPECT_EQ(node.name(), "node2:enmc");
-
-    node.recordFailure();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Suspect);
-    EXPECT_TRUE(node.alive()); // suspect still serves traffic
-
-    node.recordSuccess(); // strike forgiven
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Alive);
-
-    node.recordFailure();
-    node.recordFailure();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Suspect);
-    node.recordFailure(); // third consecutive strike
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
-    EXPECT_FALSE(node.alive());
-
-    node.recordSuccess(); // dead nodes stay dead
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
-}
-
-TEST(NodeBackend, KillIsImmediate)
-{
-    runtime::NodeBackend node(0, runtime::createBackend("enmc"),
-                              fault::ResilienceConfig{});
     node.kill();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
-}
-
-TEST(NodeBackend, LoadTracksDispatches)
-{
-    runtime::NodeBackend node(0, runtime::createBackend("enmc"),
-                              fault::ResilienceConfig{});
-    EXPECT_EQ(node.load(), 0u);
-    node.recordDispatch();
-    node.recordDispatch(3);
-    EXPECT_EQ(node.load(), 4u);
+    EXPECT_FALSE(node.alive());
+    EXPECT_EQ(node.stats().counter("killed").value(), 1u);
+    node.kill(); // dead is final; a second kill is not counted
+    EXPECT_FALSE(node.alive());
+    EXPECT_EQ(node.stats().counter("killed").value(), 1u);
 }
 
 // --- configuration validation -------------------------------------------
@@ -195,14 +161,14 @@ TEST(Router, RouteBalancesAcrossReplicasDeterministically)
         const auto ra = a.routeBatch(8, 64, 0.0);
         const auto rb = b.routeBatch(8, 64, 0.0);
         ASSERT_EQ(ra.size(), 4u); // every shard dispatched
-        for (size_t s = 0; s < ra.size(); ++s) {
-            EXPECT_EQ(ra[s].shard, s);
-            EXPECT_EQ(ra[s].node, rb[s].node) << "batch " << i;
-        }
+        for (size_t s = 0; s < ra.size(); ++s)
+            EXPECT_EQ(ra[s], rb[s]) << "batch " << i;
     }
-    // All nodes carried load (least-loaded spreads over the chain).
+    // All nodes carried load (every node is a live primary).
     for (size_t n = 0; n < a.nodeCount(); ++n)
-        EXPECT_GT(a.node(n).load(), 0u) << "node " << n;
+        EXPECT_GT(a.node(n).stats().counter("dispatchedBatches").value(),
+                  0u)
+            << "node " << n;
     EXPECT_EQ(a.stats().counter("routedBatches").value(), 16u);
     EXPECT_EQ(a.stats().counter("shardDispatches").value(), 64u);
     EXPECT_EQ(a.stats().counter("deadDispatches").value(), 0u);
@@ -216,9 +182,9 @@ TEST(Router, FailoverReroutesAroundDeadNode)
     EXPECT_EQ(router.liveNodeCount(), 3u);
 
     for (int i = 0; i < 8; ++i) {
-        const auto assignments = router.routeBatch(8, 64, 1.0 + i);
-        for (const auto &a : assignments)
-            EXPECT_NE(a.node, 1u) << "dispatch to a dead node";
+        const auto owners = router.routeBatch(8, 64, 1.0 + i);
+        for (const uint32_t owner : owners)
+            EXPECT_NE(owner, 1u) << "dispatch to a dead node";
     }
     // Shard 1's primary is dead, so each post-kill batch reroutes it.
     EXPECT_GE(router.stats().counter("reroutes").value(), 8u);
@@ -228,6 +194,33 @@ TEST(Router, FailoverReroutesAroundDeadNode)
     // Killing again is a no-op, not a double-count.
     router.killNode(1);
     EXPECT_EQ(router.stats().counter("nodeKills").value(), 1u);
+}
+
+TEST(Router, RoutedOwnersAreTheTimedOwners)
+{
+    const runtime::JobSpec spec = job();
+    ClusterRouter router(config(4, 2), spec);
+    router.routeBatch(8, 64, 0.0);
+    router.killNode(1);
+
+    // Shard 1 fails over to node 2, which also owns shard 2: routing
+    // must name the same owners the service-time model charges.
+    const Counter &node2 = router.node(2).stats().counter("dispatchedBatches");
+    for (int i = 0; i < 3; ++i) {
+        const uint64_t before = node2.value();
+        const std::vector<uint32_t> owners =
+            router.routeBatch(8, 64, 1.0 + i);
+        ASSERT_EQ(owners.size(), 4u);
+        EXPECT_EQ(owners[1], 2u);
+        EXPECT_EQ(owners[2], 2u);
+        EXPECT_EQ(node2.value(), before + 2) << "batch " << i;
+    }
+
+    const uint64_t share = runtime::RankPartitioner::evenShare(64, 4);
+    const double node2_us =
+        router.node(2).shardJobUs(spec, router.shards()[1].rows, 8, share) +
+        router.node(2).shardJobUs(spec, router.shards()[2].rows, 8, share);
+    EXPECT_DOUBLE_EQ(router.serviceBreakdown(8, 64).compute_us, node2_us);
 }
 
 TEST(Router, ScriptedKillFiresAtTheConfiguredBatch)
