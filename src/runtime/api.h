@@ -19,6 +19,7 @@
 #ifndef ENMC_RUNTIME_API_H
 #define ENMC_RUNTIME_API_H
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -166,7 +167,7 @@ class EnmcClassifier
     /** Rng seed the current screener's projection was drawn from. */
     uint64_t projection_seed_ = 0;
     screening::CandidateCache cache_;
-    bool calibrated_ = false;
+    std::atomic<bool> calibrated_{false}; //!< swapScreener() vs forward()
     Cycles last_cycles_ = 0;
 };
 

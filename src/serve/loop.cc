@@ -21,6 +21,17 @@ validated(const ServeConfig &cfg)
     return cfg;
 }
 
+/** `r`'s response before admission: identity and admission time. */
+Response
+responseTo(const Request &r)
+{
+    Response resp;
+    resp.id = r.id;
+    resp.tenant = r.tenant;
+    resp.admit_us = r.arrival_us;
+    return resp;
+}
+
 } // namespace
 
 /** Per-tenant SLO accounting ("serve.tenant.<name>"). */
@@ -171,24 +182,18 @@ ServeLoop::computeBatch(const std::vector<const Request *> &reqs,
 {
     if (classifier_ == nullptr || !cfg_.compute_logits)
         return 0;
-    // Timing-only requests (no hidden vector) ride along without logits.
-    std::vector<size_t> with_hidden;
+    // Admission rejected every request without a hidden vector (valid()).
     std::vector<tensor::Vector> h_batch;
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        if (!reqs[i]->hidden.empty()) {
-            with_hidden.push_back(i);
-            h_batch.push_back(reqs[i]->hidden);
-        }
-    }
-    if (h_batch.empty())
-        return 0;
+    h_batch.reserve(reqs.size());
+    for (const Request *r : reqs)
+        h_batch.push_back(r->hidden);
     std::vector<runtime::ClassifierOutput> outs =
         dispatcher_->forward(h_batch, cfg_.topk);
-    ENMC_ASSERT(outs.size() == with_hidden.size(),
+    ENMC_ASSERT(outs.size() == reqs.size(),
                 "serve: classifier returned a short batch");
     size_t hits = 0;
-    for (size_t j = 0; j < with_hidden.size(); ++j) {
-        Response *r = resps[with_hidden[j]];
+    for (size_t j = 0; j < reqs.size(); ++j) {
+        Response *r = resps[j];
         r->probabilities = std::move(outs[j].probabilities);
         r->topk = std::move(outs[j].topk);
         r->candidates = std::move(outs[j].candidates);
@@ -198,6 +203,31 @@ ServeLoop::computeBatch(const std::vector<const Request *> &reqs,
             ++hits;
     }
     return hits;
+}
+
+ServeLoop::BatchWork
+ServeLoop::executeBatch(const std::vector<const Request *> &reqs,
+                        std::vector<Response *> &resps, double now,
+                        size_t &dispatched)
+{
+    const size_t batch = reqs.size();
+    BatchWork work{batchCandidates(reqs)};
+    // Route before compute and timing: a health transition this dispatch
+    // causes (scripted kill, failover) must apply to this very batch.
+    const std::string route =
+        dispatcher_->routeBatch(batch, work.candidates, now);
+    // A scheduled hot-swap fires here, between batches and never
+    // mid-batch, so the swap point is a function of the dispatch sequence.
+    fireScheduledSwap();
+    work.cache_hits = computeBatch(reqs, resps);
+    for (Response *r : resps) {
+        r->dispatch_us = now;
+        r->batch_size = static_cast<uint32_t>(batch);
+        r->backend = route;
+        r->warmup = dispatched < cfg_.warmup_requests;
+        ++dispatched;
+    }
+    return work;
 }
 
 void
@@ -367,14 +397,6 @@ ServeLoop::runVirtual(
             reqs.push_back(&store[idx]);
             resps.push_back(&rstore[idx]);
         }
-        inflight_cands = batchCandidates(reqs);
-        // Route before timing: a health transition this dispatch causes
-        // (scripted kill, failover) must re-time this very batch.
-        const std::string route =
-            dispatcher_->routeBatch(batch, inflight_cands, now);
-        // A scheduled hot-swap fires here, between batches: the swap
-        // point is a deterministic function of the dispatch sequence.
-        fireScheduledSwap();
         // Functional compute happens at dispatch (its outputs depend
         // only on the request contents, not on virtual time, so this is
         // observationally equivalent to computing at completion) — the
@@ -382,17 +404,11 @@ ServeLoop::runVirtual(
         // order is deterministic, so logits stay bit-identical run to
         // run; the slice simulation inside parallelizes (and merges in
         // slice order).
-        const size_t hits = computeBatch(reqs, resps);
-        const double service =
-            batchServiceUs(batch, inflight_cands,
-                           batch - std::min<size_t>(hits, batch));
-        for (size_t idx : inflight) {
-            rstore[idx].dispatch_us = now;
-            rstore[idx].batch_size = static_cast<uint32_t>(batch);
-            rstore[idx].backend = route;
-            rstore[idx].warmup = dispatched < cfg_.warmup_requests;
-            ++dispatched;
-        }
+        const BatchWork work = executeBatch(reqs, resps, now, dispatched);
+        inflight_cands = work.candidates;
+        const double service = batchServiceUs(
+            batch, work.candidates,
+            batch - std::min<size_t>(work.cache_hits, batch));
         busy = true;
         inflight_dispatch = now;
         busy_until = now + service;
@@ -400,16 +416,9 @@ ServeLoop::runVirtual(
 
     auto processArrival = [&](size_t idx) {
         const Request &req = store[idx];
-        Response &resp = rstore[idx];
-        resp.id = req.id;
-        resp.tenant = req.tenant;
-        resp.admit_us = req.arrival_us;
-        Admission a = Admission::Admitted;
-        if (classifier_ != nullptr && cfg_.compute_logits &&
-            req.hidden.empty())
-            a = Admission::RejectedInvalid;
-        else
-            a = admitDecision(waiting.size(), cfg_.queue_capacity, false);
+        Response &resp = rstore[idx] = responseTo(req);
+        const Admission a = admitDecision(valid(req), waiting.size(),
+                                          cfg_.queue_capacity, false);
         resp.admission = a;
         queue_.recordReplayAdmission(a, waiting.size());
         if (a == Admission::Admitted) {
@@ -517,16 +526,14 @@ ServeLoop::start()
 
 std::future<Response>
 ServeLoop::admitLive(Request r,
-                     const std::function<Admission(QueuedRequest)> &push)
+                     Admission (RequestQueue::*push)(QueuedRequest, bool))
 {
     auto reply = std::make_shared<std::promise<Response>>();
     std::future<Response> fut = reply->get_future();
     r.arrival_us = wallUs();
-    Response resp;
-    resp.id = r.id;
-    resp.tenant = r.tenant;
-    resp.admit_us = r.arrival_us;
-    resp.admission = push(QueuedRequest{std::move(r), reply});
+    Response resp = responseTo(r);
+    const bool ok = valid(r);
+    resp.admission = (queue_.*push)(QueuedRequest{std::move(r), reply}, ok);
     if (resp.admission != Admission::Admitted) {
         account(resp);
         {
@@ -542,35 +549,32 @@ std::future<Response>
 ServeLoop::submit(Request r)
 {
     ENMC_ASSERT(live_, "submit() before start()");
-    const bool invalid =
-        classifier_ != nullptr && cfg_.compute_logits && r.hidden.empty();
-    return admitLive(std::move(r), [&](QueuedRequest q) {
-        return invalid ? Admission::RejectedInvalid
-                       : queue_.tryPush(std::move(q));
-    });
+    return admitLive(std::move(r), &RequestQueue::tryPush);
 }
 
 std::future<Response>
 ServeLoop::submitBlocking(Request r)
 {
     ENMC_ASSERT(live_, "submitBlocking() before start()");
-    return admitLive(std::move(r), [&](QueuedRequest q) {
-        return queue_.pushBlocking(std::move(q));
-    });
+    return admitLive(std::move(r), &RequestQueue::pushBlocking);
 }
 
 std::future<Response>
 ServeLoop::submitOrdered(Request r)
 {
     ENMC_ASSERT(live_, "submitOrdered() before start()");
-    return admitLive(std::move(r), [&](QueuedRequest q) {
-        return queue_.pushOrdered(std::move(q));
-    });
+    return admitLive(std::move(r), &RequestQueue::pushOrdered);
 }
 
 void
 ServeLoop::dispatcherLoop()
 {
+    auto handOff = [this](std::vector<QueuedRequest> batch) {
+        std::unique_lock<std::mutex> lock(handoff_mutex_);
+        handoff_cv_.wait(lock, [&] { return !handoff_.has_value(); });
+        handoff_ = std::move(batch);
+        handoff_cv_.notify_all();
+    };
     const auto delay = std::chrono::microseconds(
         static_cast<int64_t>(cfg_.max_delay_us));
     while (true) {
@@ -604,28 +608,10 @@ ServeLoop::dispatcherLoop()
             span.arg("size", static_cast<double>(batch.size()));
         }
         batcher_.recordFlush(batch.size(), reason);
-
-        PreparedBatch prepared;
-        std::vector<const Request *> reqs;
-        reqs.reserve(batch.size());
-        for (const QueuedRequest &qr : batch)
-            reqs.push_back(&qr.request);
-        prepared.candidates = batchCandidates(reqs);
-        prepared.items = std::move(batch);
-        prepared.reason = reason;
-
-        std::unique_lock<std::mutex> lock(handoff_mutex_);
-        handoff_cv_.wait(lock, [&] { return handoff_ == nullptr; });
-        handoff_ = std::make_unique<PreparedBatch>(std::move(prepared));
-        handoff_cv_.notify_all();
+        handOff(std::move(batch));
     }
-    // Wake the executor for shutdown once the last batch is consumed.
-    PreparedBatch sentinel;
-    sentinel.stop = true;
-    std::unique_lock<std::mutex> lock(handoff_mutex_);
-    handoff_cv_.wait(lock, [&] { return handoff_ == nullptr; });
-    handoff_ = std::make_unique<PreparedBatch>(std::move(sentinel));
-    handoff_cv_.notify_all();
+    // An empty batch shuts the executor down once the last one is consumed.
+    handOff({});
 }
 
 void
@@ -633,48 +619,35 @@ ServeLoop::executorLoop()
 {
     size_t dispatched = 0; // warm-up numbering (dispatch order)
     while (true) {
-        std::unique_ptr<PreparedBatch> prepared;
+        std::vector<QueuedRequest> items;
         {
             std::unique_lock<std::mutex> lock(handoff_mutex_);
-            handoff_cv_.wait(lock, [&] { return handoff_ != nullptr; });
-            prepared = std::move(handoff_);
+            handoff_cv_.wait(lock, [&] { return handoff_.has_value(); });
+            items = std::move(*handoff_);
+            handoff_.reset();
             handoff_cv_.notify_all();
         }
-        if (prepared->stop)
+        if (items.empty())
             break;
 
-        const double dispatch_us = wallUs();
-        const size_t batch = prepared->items.size();
+        const size_t batch = items.size();
         std::vector<const Request *> reqs;
-        std::vector<Response> resps(batch);
-        std::vector<Response *> resp_ptrs;
-        reqs.reserve(batch);
-        resp_ptrs.reserve(batch);
-        for (size_t i = 0; i < batch; ++i) {
-            const Request &req = prepared->items[i].request;
-            reqs.push_back(&req);
-            resps[i].id = req.id;
-            resps[i].tenant = req.tenant;
-            resps[i].admit_us = req.arrival_us;
-            resps[i].dispatch_us = dispatch_us;
-            resps[i].batch_size = static_cast<uint32_t>(batch);
-            resps[i].warmup = dispatched < cfg_.warmup_requests;
-            ++dispatched;
-            resp_ptrs.push_back(&resps[i]);
+        std::vector<Response> resps;
+        for (const QueuedRequest &item : items) {
+            reqs.push_back(&item.request);
+            resps.push_back(responseTo(item.request));
         }
+        std::vector<Response *> resp_ptrs;
+        for (Response &resp : resps)
+            resp_ptrs.push_back(&resp);
         {
             obs::TraceSpan span("batch.execute", "serve");
             span.arg("size", static_cast<double>(batch));
-            span.arg("candidates", static_cast<double>(prepared->candidates));
-            const std::string route = dispatcher_->routeBatch(
-                batch, prepared->candidates, dispatch_us);
-            for (size_t i = 0; i < batch; ++i)
-                resps[i].backend = route;
-            // Scheduled hot-swaps fire between batches on this thread,
-            // never mid-batch; cache hits skip screening work for real
-            // here, so the speedup is wall-clock, not modeled.
-            fireScheduledSwap();
-            computeBatch(reqs, resp_ptrs);
+            // Cache hits skip screening work for real here, so their
+            // speedup is wall-clock, not modeled.
+            const BatchWork work =
+                executeBatch(reqs, resp_ptrs, wallUs(), dispatched);
+            span.arg("candidates", static_cast<double>(work.candidates));
         }
         const double complete_us = wallUs();
         for (size_t i = 0; i < batch; ++i) {
@@ -684,7 +657,7 @@ ServeLoop::executorLoop()
                 std::lock_guard<std::mutex> lock(live_mutex_);
                 live_responses_.push_back(resps[i]);
             }
-            prepared->items[i].reply->set_value(std::move(resps[i]));
+            items[i].reply->set_value(std::move(resps[i]));
         }
     }
 }

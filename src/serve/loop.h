@@ -17,10 +17,12 @@
  *
  * **Live mode** (`start`/`submit*`/`stop`) runs the same queue and
  * batching policy with real threads and wall-clock deadlines: producers
- * push into the bounded MPMC `RequestQueue`, a dispatcher thread cuts
- * batches and *prepares* them (feature gather + job shaping) while an
- * executor thread runs the previous batch — a two-stage pipeline whose
- * heavy compute lands on the process-wide `ThreadPool`. Per-request
+ * push into the bounded MPMC `RequestQueue`, a dispatcher thread fills
+ * batches while an executor thread runs the previous one — a two-stage
+ * pipeline whose heavy compute lands on the process-wide `ThreadPool`.
+ * Both modes admit by one rule (`admitDecision`) and run every batch
+ * through one `executeBatch`; they differ only in how they wait and
+ * which thread runs the batch. Per-request
  * probabilities are batch-composition-invariant (batched kernels are
  * bit-identical per query to their single-query forms), so live results
  * match replay results request for request even though wall-clock batch
@@ -35,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -153,12 +156,11 @@ class ServeLoop
     runtime::OffloadPlanner *planner() { return dispatcher_->planner(); }
 
   private:
-    struct PreparedBatch
+    /** What the virtual clock needs to time an executed batch. */
+    struct BatchWork
     {
-        std::vector<QueuedRequest> items;
         uint64_t candidates = 0;
-        FlushReason reason = FlushReason::Drain;
-        bool stop = false;            //!< executor shutdown sentinel
+        size_t cache_hits = 0;
     };
 
     /**
@@ -184,14 +186,28 @@ class ServeLoop
     /** Fire a due scheduled swap, then count this batch as dispatched. */
     void fireScheduledSwap();
 
+    /** The batch path of both clocks: route at `now`, fire a due swap,
+     *  compute, then stamp dispatch time, batch size, route and warm-up
+     *  (`dispatched` numbers requests in dispatch order). */
+    BatchWork executeBatch(const std::vector<const Request *> &reqs,
+                           std::vector<Response *> &resps, double now,
+                           size_t &dispatched);
+
+    /** Admission's validity check: logits need a hidden vector. */
+    bool valid(const Request &r) const
+    {
+        return classifier_ == nullptr || !cfg_.compute_logits ||
+               !r.hidden.empty();
+    }
+
     /**
      * Live admission shared by the submit* calls: stamp the arrival,
-     * hand the request to `push`, and account and reply at once when it
-     * is not admitted.
+     * hand the request and its validity to `push`, and account and
+     * reply at once when it is not admitted.
      */
     std::future<Response>
     admitLive(Request r,
-              const std::function<Admission(QueuedRequest)> &push);
+              Admission (RequestQueue::*push)(QueuedRequest, bool));
 
     /** Tally one finished response into loop + tenant stats. */
     void account(const Response &r);
@@ -214,7 +230,8 @@ class ServeLoop
     std::thread executor_;
     std::mutex handoff_mutex_;
     std::condition_variable handoff_cv_;
-    std::unique_ptr<PreparedBatch> handoff_;   //!< depth-1 pipeline slot
+    //! Depth-1 pipeline slot; an empty batch stops the executor.
+    std::optional<std::vector<QueuedRequest>> handoff_;
     std::chrono::steady_clock::time_point live_epoch_;
     std::mutex live_mutex_;                    //!< guards live_responses_
     std::vector<Response> live_responses_;

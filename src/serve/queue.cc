@@ -70,16 +70,17 @@ RequestQueue::recordDecision(Admission a)
       case Admission::Admitted: ++stat_admitted_; break;
       case Admission::RejectedQueueFull: ++stat_rejected_full_; break;
       case Admission::RejectedShutdown: ++stat_rejected_shutdown_; break;
-      case Admission::RejectedInvalid: break; // decided by the loop
+      case Admission::RejectedInvalid: break; // counted by the loop
     }
 }
 
 Admission
-RequestQueue::admitLocked(QueuedRequest &&item,
+RequestQueue::admitLocked(QueuedRequest &&item, bool valid,
                           std::unique_lock<std::mutex> &)
 {
     stat_depth_.sample(static_cast<double>(items_.size()));
-    const Admission a = admitDecision(items_.size(), capacity_, closed_);
+    const Admission a =
+        admitDecision(valid, items_.size(), capacity_, closed_);
     recordDecision(a);
     if (a == Admission::Admitted) {
         items_.push_back(std::move(item));
@@ -89,23 +90,24 @@ RequestQueue::admitLocked(QueuedRequest &&item,
 }
 
 Admission
-RequestQueue::tryPush(QueuedRequest item)
+RequestQueue::tryPush(QueuedRequest item, bool valid)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    return admitLocked(std::move(item), lock);
+    return admitLocked(std::move(item), valid, lock);
 }
 
 Admission
-RequestQueue::pushBlocking(QueuedRequest item)
+RequestQueue::pushBlocking(QueuedRequest item, bool valid)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    space_cv_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    return admitLocked(std::move(item), lock);
+    space_cv_.wait(lock, [&] {
+        return !valid || closed_ || items_.size() < capacity_;
+    });
+    return admitLocked(std::move(item), valid, lock);
 }
 
 Admission
-RequestQueue::pushOrdered(QueuedRequest item)
+RequestQueue::pushOrdered(QueuedRequest item, bool valid)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     const RequestId id = item.request.id;
@@ -115,7 +117,7 @@ RequestQueue::pushOrdered(QueuedRequest item)
         a = Admission::RejectedShutdown;
         recordDecision(a);
     } else {
-        a = admitLocked(std::move(item), lock);
+        a = admitLocked(std::move(item), valid, lock);
         ++next_ordered_id_;
     }
     order_cv_.notify_all();

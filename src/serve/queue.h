@@ -2,11 +2,12 @@
  * @file
  * A bounded MPMC request queue with explicit admission control.
  *
- * Producers choose their backpressure contract per call:
+ * Every push decides by `admitDecision`, invalid (per the caller's
+ * `valid` verdict) first. Producers choose their backpressure per call:
  *  - `tryPush` never blocks: a full queue rejects with
  *    `Admission::RejectedQueueFull` (the load-shedding front door);
  *  - `pushBlocking` waits for space (the cooperating-producer door) and
- *    only rejects on shutdown;
+ *    only rejects on shutdown (or invalidity, which never waits);
  *  - `pushOrdered` additionally serializes *admission order* by request
  *    id: request k's accept/reject decision is made strictly after
  *    request k-1's, no matter which producer thread delivers it. Replayed
@@ -52,10 +53,10 @@ class RequestQueue
     bool closed() const;
 
     /** Non-blocking admission; full queue => RejectedQueueFull. */
-    Admission tryPush(QueuedRequest item);
+    Admission tryPush(QueuedRequest item, bool valid = true);
 
-    /** Blocks while full (backpressure); rejects only on shutdown. */
-    Admission pushBlocking(QueuedRequest item);
+    /** Blocks while full (backpressure) unless invalid. */
+    Admission pushBlocking(QueuedRequest item, bool valid = true);
 
     /**
      * Like `tryPush`, but the admission decision for request id k is
@@ -64,7 +65,7 @@ class RequestQueue
      * Blocks until it is this request's turn; any admission outcome
      * (including a rejection) passes the turn to id k+1.
      */
-    Admission pushOrdered(QueuedRequest item);
+    Admission pushOrdered(QueuedRequest item, bool valid = true);
 
     /**
      * Pop up to `max_n` requests. Blocks until at least one request is
@@ -95,7 +96,7 @@ class RequestQueue
     StatGroup &stats() { return stats_; }
 
   private:
-    Admission admitLocked(QueuedRequest &&item,
+    Admission admitLocked(QueuedRequest &&item, bool valid,
                           std::unique_lock<std::mutex> &lock);
     void recordDecision(Admission a);
 

@@ -39,11 +39,13 @@ enum class Admission : uint8_t {
 
 const char *admissionName(Admission a);
 
-/** The pure admission policy, shared by the live queue and the replay
- *  simulation so both paths reject for identical reasons. */
+/** The pure admission policy (validity first), shared by the live queue
+ *  and the replay simulation so every entry point rejects alike. */
 inline Admission
-admitDecision(size_t occupancy, size_t capacity, bool closed)
+admitDecision(bool valid, size_t occupancy, size_t capacity, bool closed)
 {
+    if (!valid)
+        return Admission::RejectedInvalid;
     if (closed)
         return Admission::RejectedShutdown;
     if (occupancy >= capacity)

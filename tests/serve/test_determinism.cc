@@ -318,5 +318,43 @@ TEST_F(ServeDeterminismTest, EmptyHiddenVectorRejectedAsInvalid)
     EXPECT_EQ(report.rejectedCount(Admission::RejectedInvalid), 1u);
 }
 
+TEST_F(ServeDeterminismTest, LiveEntryPointsRejectEmptyHiddenAsInvalid)
+{
+    // Every live entry point applies replay's admission rule: with logits
+    // requested, a request without a hidden vector is rejected as
+    // invalid, never served with empty probabilities.
+    auto clf = makeClassifier(1);
+    ServeLoop loop(config(), job());
+    loop.attachClassifier(*clf);
+    loop.start();
+
+    auto request = [&](RequestId id, bool with_hidden) {
+        Request r;
+        r.id = id;
+        if (with_hidden)
+            r.hidden = queries_[id];
+        return r;
+    };
+    // Ordered admission takes ids 0, 1, ...: the invalid id 0 must still
+    // pass its turn on, or the valid id 1 would wait forever.
+    std::future<Response> bad_ordered = loop.submitOrdered(request(0, false));
+    std::future<Response> good_ordered = loop.submitOrdered(request(1, true));
+    std::future<Response> bad_try = loop.submit(request(2, false));
+    std::future<Response> bad_blocking =
+        loop.submitBlocking(request(3, false));
+
+    EXPECT_EQ(bad_ordered.get().admission, Admission::RejectedInvalid);
+    EXPECT_EQ(bad_try.get().admission, Admission::RejectedInvalid);
+    EXPECT_EQ(bad_blocking.get().admission, Admission::RejectedInvalid);
+    const Response good = good_ordered.get();
+    EXPECT_EQ(good.admission, Admission::Admitted);
+    EXPECT_FALSE(good.probabilities.empty());
+
+    const ServeReport report = loop.stop();
+    ASSERT_EQ(report.responses.size(), 4u);
+    EXPECT_EQ(report.admittedCount(), 1u);
+    EXPECT_EQ(report.rejectedCount(Admission::RejectedInvalid), 3u);
+}
+
 } // namespace
 } // namespace enmc::serve

@@ -6,10 +6,14 @@
  *
  * All tests here run timing-only (no classifier attached): the
  * discrete-event simulation makes every latency a pure function of the
- * arrival trace and the configuration, so exact assertions hold.
+ * arrival trace and the configuration, so exact assertions hold. The
+ * warm-up test also serves live, asserting only clock-free counts.
  */
 
 #include <gtest/gtest.h>
+
+#include <future>
+#include <vector>
 
 #include "obs/registry.h"
 #include "serve/loop.h"
@@ -133,6 +137,24 @@ TEST(ServeLoop, WarmupRequestsFlaggedAndExcludedFromMeasurement)
         EXPECT_EQ(report.responses[i].warmup, i < 4) << i;
     EXPECT_EQ(loop.stats().counter("warmupRequests").value(), 4u);
     EXPECT_EQ(loop.stats().counter("measuredRequests").value(), 8u);
+
+    // The live clock stamps warm-up through the same batch path. One
+    // producer and a FIFO queue make dispatch order the id order.
+    ServeLoop live(cfg, smallJob());
+    live.start();
+    std::vector<std::future<Response>> futures;
+    for (Request &r : burstTrace(12).requests)
+        futures.push_back(live.submitBlocking(std::move(r)));
+    for (std::future<Response> &f : futures)
+        f.wait();
+    const ServeReport live_report = live.stop();
+    ASSERT_EQ(live_report.responses.size(), 12u);
+    EXPECT_EQ(live_report.warmupCount(), 4u);
+    EXPECT_EQ(live_report.measuredCount(), 8u);
+    for (size_t i = 0; i < 12; ++i)
+        EXPECT_EQ(live_report.responses[i].warmup, i < 4) << i;
+    EXPECT_EQ(live.stats().counter("warmupRequests").value(), 4u);
+    EXPECT_EQ(live.stats().counter("measuredRequests").value(), 8u);
 }
 
 TEST(ServeReport, WarmupLatenciesNeverReachPercentiles)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the bounded MPMC request queue: admission control,
- * backpressure, ordered admission, and drain-then-stop shutdown.
+ * backpressure, ordered admission, invalid-request rejection, and
+ * drain-then-stop shutdown.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +140,21 @@ TEST(RequestQueue, PushOrderedRejectionStillPassesTheTurn)
     // their predecessor's turn.
     EXPECT_EQ(queue.pushOrdered(qr(2)), Admission::RejectedQueueFull);
     EXPECT_EQ(queue.pushOrdered(qr(3)), Admission::RejectedQueueFull);
+}
+
+TEST(RequestQueue, InvalidRequestNeverWaitsAndPassesTheOrderedTurn)
+{
+    RequestQueue queue(1);
+    ASSERT_EQ(queue.pushOrdered(qr(0)), Admission::Admitted);
+    // The queue is full, yet an invalid request is rejected at once.
+    EXPECT_EQ(queue.pushBlocking(qr(7), false), Admission::RejectedInvalid);
+    EXPECT_EQ(queue.tryPush(qr(8), false), Admission::RejectedInvalid);
+    // An invalid id 1 still consumes its turn, so id 2 is decided next.
+    EXPECT_EQ(queue.pushOrdered(qr(1), false), Admission::RejectedInvalid);
+    std::vector<QueuedRequest> out;
+    ASSERT_EQ(queue.pop(1, std::chrono::microseconds(0), out), 1u);
+    EXPECT_EQ(queue.pushOrdered(qr(2)), Admission::Admitted);
+    EXPECT_EQ(queue.stats().counter("admitted").value(), 2u);
 }
 
 TEST(RequestQueue, CloseWakesBlockedOrderedProducer)
