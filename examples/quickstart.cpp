@@ -62,8 +62,14 @@ main()
                     exact[i].topk[0] == outputs[i].topk[0] ? "MATCH"
                                                            : "DIFFERS");
     }
+    // The slowest rank of the same batch, straight from the rank model.
+    const Cycles cycles = clf.system()
+                              .runFunctional(model.classifier(),
+                                             clf.screener(), h_batch,
+                                             clf.options().ranks)
+                              .rank_cycles;
     std::printf("representative rank: %llu DDR cycles (%.1f us)\n",
-                static_cast<unsigned long long>(clf.lastRankCycles()),
-                cyclesToSeconds(clf.lastRankCycles(), 1200e6) * 1e6);
+                static_cast<unsigned long long>(cycles),
+                cyclesToSeconds(cycles, 1200e6) * 1e6);
     return 0;
 }

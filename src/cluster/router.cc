@@ -188,11 +188,11 @@ ClusterRouter::serviceBreakdown(uint64_t batch, uint64_t candidates)
     return t;
 }
 
-std::vector<runtime::ClassifierOutput>
-ClusterRouter::computeBatch(const nn::Classifier &classifier,
-                            const screening::Screener &screener,
-                            const std::vector<tensor::Vector> &h_batch,
-                            size_t k, uint64_t ranks)
+runtime::EnmcSystem::FunctionalResult
+ClusterRouter::runFunctional(const nn::Classifier &classifier,
+                             const screening::Screener &screener,
+                             const std::vector<tensor::Vector> &h_batch,
+                             uint64_t ranks)
 {
     const uint64_t l = classifier.categories();
     ENMC_ASSERT(l <= job_.categories,
@@ -225,8 +225,22 @@ ClusterRouter::computeBatch(const nn::Classifier &classifier,
                                            use_ranks, fshards[s].begin,
                                            fshards[s].rows);
     });
+    return runtime::gatherShards(std::move(parts),
+                                 classifier.normalization());
+}
+
+std::vector<runtime::ClassifierOutput>
+ClusterRouter::computeBatch(const nn::Classifier &classifier,
+                            const screening::Screener &screener,
+                            const std::vector<tensor::Vector> &h_batch,
+                            size_t k, uint64_t ranks)
+{
+    const uint64_t l = classifier.categories();
     runtime::EnmcSystem::FunctionalResult gathered =
-        runtime::gatherShards(std::move(parts), classifier.normalization());
+        runFunctional(classifier, screener, h_batch, ranks);
+    const std::vector<runtime::RowSlice> fshards =
+        runtime::RankPartitioner::partition(
+            0, l, std::min<uint64_t>(cfg_.nodes, l));
 
     // The global top-k as a mergeTopK over per-shard top-k lists — the
     // bounded-heap merge the ranks inside one node already use, lifted

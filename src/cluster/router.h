@@ -107,16 +107,23 @@ class ClusterRouter
     }
 
     /**
-     * Functional forward of a batch: every shard's owner runs its label
-     * rows through its node's simulated ranks (owning nodes run
-     * concurrently, each through its own shards in shard order),
-     * `runtime::gatherShards` merges them in shard order and
-     * normalizes once at the root, and the global top-k merges the
-     * per-shard top-k lists through `tensor::mergeTopK`. Bit-identical
-     * to `EnmcClassifier::forward` on the same classifier/screener for
-     * any node count and any health history (partition invariance).
+     * Functional run of a batch — the cluster's `runtime::MissRunner`:
+     * every shard's owner runs its label rows through its node's ranks
+     * (owning nodes concurrently, each through its shards in shard
+     * order), and `runtime::gatherShards` merges them in shard order and
+     * normalizes once. Bit-identical to `EnmcSystem::runFunctional` for
+     * any node count and health history (partition invariance).
      * @param ranks Ranks per node to slice across; 0 = config default.
      */
+    runtime::EnmcSystem::FunctionalResult
+    runFunctional(const nn::Classifier &classifier,
+                  const screening::Screener &screener,
+                  const std::vector<tensor::Vector> &h_batch,
+                  uint64_t ranks);
+
+    /** runFunctional() plus the global top-k through `tensor::mergeTopK`
+     *  over per-shard top-k lists: the fabric's standalone probe,
+     *  bit-identical to a cache-off `EnmcClassifier::forward`. */
     std::vector<runtime::ClassifierOutput>
     computeBatch(const nn::Classifier &classifier,
                  const screening::Screener &screener,

@@ -17,21 +17,32 @@ classifierOptionsFromEnv(ClassifierOptions base)
     return base;
 }
 
+void
+requireCacheExact(bool cache_on, tensor::QuantBits quant,
+                  const SystemConfig &system)
+{
+    const char *with = quant == tensor::QuantBits::Fp32 ? "an FP32 screener"
+                       : system.fault.enabled          ? "fault injection"
+                       : system.resilient              ? "resilient mode"
+                                                       : nullptr;
+    if (cache_on && with != nullptr)
+        ENMC_FATAL("the candidate cache cannot serve bit-exactly with ",
+                   with, " (set cache.capacity=0)");
+}
+
 EnmcClassifier::EnmcClassifier(const nn::Classifier &teacher,
                                const ClassifierOptions &options,
                                const SystemConfig &system)
     : teacher_(teacher), options_(options), system_(system),
       slot_(options.snapshot), cache_(options.cache)
 {
-    auto screener = makeScreener(options_.seed);
-    calib_screener_ = screener.get();
-    // Epoch 1 from birth: responses always carry a well-defined epoch.
-    slot_.publish(std::move(screener));
-    projection_seed_ = options_.seed;
+    requireCacheExact(cache_.enabled(), options_.quant, system_.config());
 }
 
-std::unique_ptr<screening::Screener>
-EnmcClassifier::makeScreener(uint64_t seed) const
+std::pair<std::unique_ptr<screening::Screener>, screening::TrainReport>
+EnmcClassifier::trainScreener(uint64_t seed,
+                              const std::vector<tensor::Vector> &train_h,
+                              const std::vector<tensor::Vector> &val_h) const
 {
     screening::ScreenerConfig cfg;
     cfg.categories = teacher_.categories();
@@ -42,7 +53,28 @@ EnmcClassifier::makeScreener(uint64_t seed) const
     cfg.selection = screening::SelectionMode::Threshold;
     cfg.top_m = options_.candidates;
     Rng rng(seed);
-    return std::make_unique<screening::Screener>(cfg, rng);
+    auto screener = std::make_unique<screening::Screener>(cfg, rng);
+    screening::Trainer trainer(teacher_, *screener, options_.trainer);
+    screening::TrainReport report = trainer.train(train_h, val_h);
+    screener->freezeQuantized();
+    const float threshold = screening::tuneThreshold(
+        *screener, val_h.empty() ? train_h : val_h, options_.candidates);
+    screener->setSelection(screening::SelectionMode::Threshold,
+                           options_.candidates, threshold);
+    return {std::move(screener), std::move(report)};
+}
+
+uint64_t
+EnmcClassifier::publish(std::unique_ptr<const screening::Screener> screener,
+                        uint64_t projection_seed)
+{
+    ENMC_ASSERT(screener->categories() == teacher_.categories() &&
+                    screener->config().hidden == teacher_.hidden(),
+                "screener does not match this classifier");
+    requireCacheExact(cache_.enabled(), screener->config().quant,
+                      system_.config());
+    // Stale cache entries are dropped lazily on epoch-mismatch lookups.
+    return slot_.publish(std::move(screener), projection_seed);
 }
 
 const screening::Screener &
@@ -50,8 +82,8 @@ EnmcClassifier::screener() const
 {
     const auto snap = slot_.current();
     ENMC_ASSERT(snap != nullptr, "no screener published");
-    // The snapshot stays alive through the slot's retired grace list even
-    // if a publish lands right after this returns; see the header caveat.
+    // Once this returns only the slot holds the snapshot, so the next
+    // publish retires and (with auto_collect) frees it: the header caveat.
     return snap->screener();
 }
 
@@ -59,41 +91,9 @@ screening::TrainReport
 EnmcClassifier::calibrate(const std::vector<tensor::Vector> &train_h,
                           const std::vector<tensor::Vector> &val_h)
 {
-    ENMC_ASSERT(calib_screener_ != nullptr,
-                "calibrate() is the offline flow; after a hot-swap, train "
-                "replacements outside and swapScreener() them in");
-    screening::Trainer trainer(teacher_, *calib_screener_, options_.trainer);
-    screening::TrainReport report = trainer.train(train_h, val_h);
-    calib_screener_->freezeQuantized();
-    const float threshold = screening::tuneThreshold(
-        *calib_screener_, val_h.empty() ? train_h : val_h,
-        options_.candidates);
-    calib_screener_->setSelection(screening::SelectionMode::Threshold,
-                                  options_.candidates, threshold);
-    cache_.clear();
-    calibrated_ = true;
+    auto [screener, report] = trainScreener(options_.seed, train_h, val_h);
+    publish(std::move(screener), options_.seed);
     return report;
-}
-
-uint64_t
-EnmcClassifier::swapScreener(std::unique_ptr<screening::Screener> screener,
-                             uint64_t projection_seed)
-{
-    ENMC_ASSERT(screener != nullptr, "swapScreener: null screener");
-    ENMC_ASSERT(screener->categories() == teacher_.categories() &&
-                    screener->config().hidden == teacher_.hidden(),
-                "swapScreener: screener does not match this classifier");
-    if (screener->config().quant != tensor::QuantBits::Fp32 &&
-        !screener->quantizedFrozen())
-        screener->freezeQuantized();
-    // The published snapshot is immutable from here on; the offline
-    // calibration alias no longer points at the live version.
-    calib_screener_ = nullptr;
-    projection_seed_ = projection_seed;
-    const uint64_t epoch = slot_.publish(std::move(screener));
-    // Stale cache entries are dropped lazily on epoch-mismatch lookups.
-    calibrated_ = true;
-    return epoch;
 }
 
 uint64_t
@@ -103,15 +103,7 @@ EnmcClassifier::refresh(const std::vector<tensor::Vector> &train_h,
     // Derive a fresh seed so the retrained projection/init differ per
     // epoch but stay reproducible for a given (options.seed, epoch).
     const uint64_t seed = options_.seed + slot_.epoch() + 1;
-    auto next = makeScreener(seed);
-    screening::Trainer trainer(teacher_, *next, options_.trainer);
-    trainer.train(train_h, val_h);
-    next->freezeQuantized();
-    const float threshold = screening::tuneThreshold(
-        *next, val_h.empty() ? train_h : val_h, options_.candidates);
-    next->setSelection(screening::SelectionMode::Threshold,
-                       options_.candidates, threshold);
-    return swapScreener(std::move(next), seed);
+    return publish(trainScreener(seed, train_h, val_h).first, seed);
 }
 
 ClassifierOutput
@@ -137,94 +129,82 @@ EnmcClassifier::serveHit(const screening::CacheEntry &entry,
 }
 
 std::vector<ClassifierOutput>
-EnmcClassifier::forward(const std::vector<tensor::Vector> &h_batch, size_t k)
+EnmcClassifier::forward(const std::vector<tensor::Vector> &h_batch, size_t k,
+                        const MissRunner &run_misses)
 {
-    ENMC_ASSERT(calibrated_, "calibrate() before forward()");
-    // One snapshot for the whole batch: a concurrent hot-swap never
-    // mixes epochs within a batch, and the snapshot cannot be freed
-    // while this shared_ptr is held.
+    // One snapshot for the whole batch: a concurrent refresh never mixes
+    // epochs within a batch, and the snapshot cannot be freed while this
+    // shared_ptr is held.
     const auto snap = slot_.current();
-    ENMC_ASSERT(snap != nullptr, "no screener published");
+    ENMC_ASSERT(snap != nullptr, "calibrate() or load() before forward()");
     const screening::Screener &scr = snap->screener();
-    const uint64_t epoch = snap->epoch();
+    const bool cache_on = cache_.enabled();
 
     std::vector<ClassifierOutput> out(h_batch.size());
-    // The cache key is the INT sketch, so an FP32 screener has nothing to
-    // key on; fault/resilience streams depend on global injection order,
-    // which a screening bypass would perturb — keep those bit-exact by
-    // running them uncached.
-    const SystemConfig &sys = system_.config();
-    const bool cache_on = cache_.enabled() &&
-                          scr.config().quant != tensor::QuantBits::Fp32 &&
-                          !sys.fault.enabled && !sys.resilient;
-
-    if (!cache_on) {
-        const auto fr =
-            system_.runFunctional(teacher_, scr, h_batch, options_.ranks);
-        last_cycles_ = fr.rank_cycles;
-        for (size_t i = 0; i < h_batch.size(); ++i) {
-            out[i].probabilities = fr.probabilities[i];
-            out[i].topk = tensor::topkIndices(fr.probabilities[i], k);
-            out[i].candidates = fr.candidates[i];
-            out[i].snapshot_epoch = epoch;
-        }
-        return out;
-    }
-
     std::vector<size_t> miss_idx;
     std::vector<tensor::Vector> miss_h;
     std::vector<tensor::QuantizedVector> miss_yq;
-    for (size_t i = 0; i < h_batch.size(); ++i) {
-        tensor::QuantizedVector yq =
-            tensor::quantize(scr.project(h_batch[i]), scr.config().quant);
-        const screening::CacheEntry *hit =
-            cache_.lookup(yq, epoch, scr);
-        if (hit != nullptr) {
-            out[i] = serveHit(*hit, h_batch[i], k);
-            out[i].snapshot_epoch = epoch;
-        } else {
-            miss_idx.push_back(i);
-            miss_h.push_back(h_batch[i]);
-            miss_yq.push_back(std::move(yq));
+    if (cache_on) {
+        for (size_t i = 0; i < h_batch.size(); ++i) {
+            tensor::QuantizedVector yq = tensor::quantize(
+                scr.project(h_batch[i]), scr.config().quant);
+            const screening::CacheEntry *hit =
+                cache_.lookup(yq, snap->epoch(), scr);
+            if (hit != nullptr) {
+                out[i] = serveHit(*hit, h_batch[i], k);
+            } else {
+                miss_idx.push_back(i);
+                miss_h.push_back(h_batch[i]);
+                miss_yq.push_back(std::move(yq));
+            }
         }
     }
 
-    if (miss_idx.empty()) {
-        last_cycles_ = 0;
-        return out;
-    }
     // Per-item functional results are batch-composition-invariant, so
-    // screening only the misses serves them bit-identical to a full
-    // uncached batch.
-    auto fr = system_.runFunctional(teacher_, scr, miss_h, options_.ranks);
-    last_cycles_ = fr.rank_cycles;
-    const tensor::QuantizedMatrix &wq = scr.quantizedWeights();
-    for (size_t j = 0; j < miss_idx.size(); ++j) {
-        const size_t i = miss_idx[j];
-        out[i].probabilities = fr.probabilities[j];
-        out[i].topk = tensor::topkIndices(fr.probabilities[j], k);
-        out[i].candidates = fr.candidates[j];
-        out[i].snapshot_epoch = epoch;
-        // Cache the *approximate* logit vector: candidate rows of the
-        // mixed result hold this request's exact logits — re-screen just
-        // those rows so the entry is a pure function of the sketch.
-        tensor::Vector approx = std::move(fr.logits[j]);
-        for (const uint32_t r : out[i].candidates)
-            tensor::gemvQuantizedRows(wq, miss_yq[j].values,
-                                      miss_yq[j].scale, scr.bias(), approx,
-                                      r, r + 1);
-        cache_.insert(miss_yq[j], epoch, out[i].candidates,
-                      std::move(approx));
+    // running only the misses serves them bit-identical to a full
+    // uncached batch, on one node or sharded across a cluster. Nothing
+    // runs only when the cache served every item.
+    const std::vector<tensor::Vector> &run_h = cache_on ? miss_h : h_batch;
+    if (!cache_on || !miss_idx.empty()) {
+        auto fr = run_misses
+                      ? run_misses(teacher_, scr, run_h, options_.ranks)
+                      : system_.runFunctional(teacher_, scr, run_h,
+                                              options_.ranks);
+        for (size_t j = 0; j < run_h.size(); ++j) {
+            ClassifierOutput &o = out[cache_on ? miss_idx[j] : j];
+            o.probabilities = std::move(fr.probabilities[j]);
+            o.topk = tensor::topkIndices(o.probabilities, k);
+            o.candidates = std::move(fr.candidates[j]);
+            if (!cache_on)
+                continue;
+            // Cache the *approximate* logit vector: candidate rows of the
+            // mixed result hold this request's exact logits — re-screen
+            // just those rows so the entry is a pure function of the
+            // sketch.
+            tensor::Vector approx = std::move(fr.logits[j]);
+            for (const uint32_t r : o.candidates)
+                tensor::gemvQuantizedRows(scr.quantizedWeights(),
+                                          miss_yq[j].values,
+                                          miss_yq[j].scale, scr.bias(),
+                                          approx, r, r + 1);
+            cache_.insert(miss_yq[j], snap->epoch(), o.candidates,
+                          std::move(approx));
+        }
     }
+    for (ClassifierOutput &o : out)
+        o.snapshot_epoch = snap->epoch();
     return out;
 }
 
 void
 EnmcClassifier::save(const std::string &path) const
 {
-    ENMC_ASSERT(calibrated_, "calibrate() before save()");
-    // The current screener's projection was drawn from projection_seed_.
-    screening::saveScreenerFile(screener(), projection_seed_, path);
+    // One snapshot: the screener and the seed its projection was drawn
+    // from always come from the same epoch.
+    const auto snap = slot_.current();
+    ENMC_ASSERT(snap != nullptr, "calibrate() before save()");
+    screening::saveScreenerFile(snap->screener(), snap->projectionSeed(),
+                                path);
 }
 
 void
@@ -232,14 +212,7 @@ EnmcClassifier::load(const std::string &path)
 {
     uint64_t seed = 0;
     auto screener = screening::loadScreenerFile(path, &seed);
-    ENMC_ASSERT(screener->categories() == teacher_.categories() &&
-                    screener->config().hidden == teacher_.hidden(),
-                "loaded screener does not match this classifier");
-    calib_screener_ = screener.get();
-    projection_seed_ = seed;
-    slot_.publish(std::move(screener));
-    cache_.clear();
-    calibrated_ = true;
+    publish(std::move(screener), seed);
 }
 
 std::vector<ClassifierOutput>

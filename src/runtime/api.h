@@ -11,16 +11,19 @@
  *  - a hot-label candidate cache (screening::CandidateCache) in front of
  *    screening — repeated feature sketches skip the full screening GEMV
  *    and go straight to exact executor rows for the cached candidate set;
- *  - versioned screener snapshots (runtime::ScreenerSnapshotSlot) so the
- *    screener can be retrained and hot-swapped while forward() keeps
- *    serving; every output records the snapshot epoch that computed it.
+ *  - versioned screener snapshots (runtime::ScreenerSnapshotSlot):
+ *    calibrate(), load() and refresh() each publish a finished screener
+ *    as a new immutable epoch, and forward() keeps serving across a
+ *    refresh; every output records the snapshot epoch that computed it.
  */
 
 #ifndef ENMC_RUNTIME_API_H
 #define ENMC_RUNTIME_API_H
 
-#include <atomic>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/classifier.h"
@@ -56,6 +59,12 @@ struct ClassifierOptions
 ClassifierOptions
 classifierOptionsFromEnv(ClassifierOptions base = ClassifierOptions{});
 
+/** Die with a diagnostic when the cache is on with an FP32 screener (no
+ *  integer sketch to key on) or a fault-injecting or resilient system
+ *  (whose streams a screening bypass would reorder). */
+void requireCacheExact(bool cache_on, tensor::QuantBits quant,
+                       const SystemConfig &system);
+
 /** One inference's output. */
 struct ClassifierOutput
 {
@@ -68,6 +77,12 @@ struct ClassifierOutput
     uint64_t snapshot_epoch = 0;
 };
 
+/** Who runs forward()'s cache misses; empty means the classifier's own
+ *  EnmcSystem::runFunctional, and a cluster passes its fabric's. */
+using MissRunner = std::function<EnmcSystem::FunctionalResult(
+    const nn::Classifier &classifier, const screening::Screener &screener,
+    const std::vector<tensor::Vector> &h_batch, uint64_t ranks)>;
+
 /**
  * An extreme classifier offloaded to ENMC memory.
  *
@@ -76,52 +91,62 @@ struct ClassifierOutput
  *   clf.calibrate(train_h, val_h);             // Algorithm 1 + threshold
  *   auto out = clf.forward(h_batch, k);        // runs on the rank model
  *
- * Threading: forward() may run concurrently with swapScreener()/refresh()
- * (the serve executor thread vs. a control thread) — each forward()
- * acquires one snapshot and uses it for the whole batch. Everything else
- * (calibrate, save/load, the cache) is single-threaded by design.
+ * Calibrated means an epoch is published. The constructor publishes
+ * nothing; calibrate(), load() and refresh() each build a finished
+ * screener and publish it, with its projection seed, as one immutable
+ * snapshot (epoch 1, 2, ...). A published snapshot is never written
+ * again.
+ *
+ * Threading: forward() and save() may run concurrently with refresh()
+ * (the serve executor thread and a control thread). Each reads one
+ * snapshot and uses it throughout, so a batch never mixes epochs and a
+ * saved file never pairs one epoch's screener with another's seed. One
+ * thread at a time publishes (calibrate, load, refresh), and one thread
+ * at a time calls forward(): the cache is single-threaded.
  */
 class EnmcClassifier
 {
   public:
+    /** Publishes nothing; fatal per requireCacheExact. */
     EnmcClassifier(const nn::Classifier &teacher,
                    const ClassifierOptions &options,
                    const SystemConfig &system = SystemConfig{});
 
-    /** Distill the screener and tune the FILTER threshold (offline). */
+    /**
+     * Distill a screener from options.seed, tune its FILTER threshold
+     * and publish it (offline; epoch 1 on a fresh classifier).
+     */
     screening::TrainReport calibrate(
         const std::vector<tensor::Vector> &train_h,
         const std::vector<tensor::Vector> &val_h);
 
-    /** Candidates-only classification of a batch on the ENMC model. */
+    /**
+     * Candidates-only classification of a batch on the ENMC model, under
+     * one snapshot. Validated cache hits are served host-side; the
+     * misses run on `run_misses` (the classifier's own system when
+     * empty). Every output carries the snapshot's epoch.
+     */
     std::vector<ClassifierOutput> forward(
-        const std::vector<tensor::Vector> &h_batch, size_t k);
+        const std::vector<tensor::Vector> &h_batch, size_t k,
+        const MissRunner &run_misses = {});
 
     /** Reference full classification (host-only path). */
     std::vector<ClassifierOutput> forwardFull(
         const std::vector<tensor::Vector> &h_batch, size_t k) const;
 
-    /** Persist the calibrated screener (train once, deploy many). */
+    /** Persist the current snapshot's screener and its projection seed
+     *  (train once, deploy many). */
     void save(const std::string &path) const;
 
-    /** Restore a previously saved screener; marks the model calibrated. */
+    /** Publish a previously saved screener as the next epoch. */
     void load(const std::string &path);
-
-    /**
-     * Atomically publish a replacement screener (already trained; frozen
-     * here if needed). In-flight forward() batches finish on the snapshot
-     * they acquired; later batches see the new epoch. `projection_seed`
-     * is the Rng seed the replacement's projection was drawn from (kept
-     * so save() stays round-trippable). Returns the new epoch.
-     */
-    uint64_t swapScreener(std::unique_ptr<screening::Screener> screener,
-                          uint64_t projection_seed);
 
     /**
      * Online refresh: distill a fresh screener against the current
      * teacher (seeded from options.seed + the next epoch so retrains
-     * differ), tune its threshold, and hot-swap it in. Returns the new
-     * epoch. Safe to call while another thread serves forward().
+     * differ), tune its threshold, and publish it. In-flight forward()
+     * batches finish on the snapshot they acquired; later batches see
+     * the new epoch. Returns the new epoch.
      */
     uint64_t refresh(const std::vector<tensor::Vector> &train_h,
                      const std::vector<tensor::Vector> &val_h);
@@ -130,24 +155,28 @@ class EnmcClassifier
     const ClassifierOptions &options() const { return options_; }
     /**
      * The current snapshot's screener. Only safe while no concurrent
-     * swap can retire it (calibration, tests); forward() and the cluster
-     * dispatch hold a snapshots().current() for the whole batch instead.
+     * refresh can retire it (calibration, tests); forward() and save()
+     * hold one snapshot for the whole call instead.
      */
     const screening::Screener &screener() const;
     const EnmcSystem &system() const { return system_; }
-    bool calibrated() const { return calibrated_; }
+    bool calibrated() const { return slot_.current() != nullptr; }
 
-    /** Epoch of the currently published screener (1 after construction). */
+    /** Epoch of the currently published screener (0 before calibrate). */
     uint64_t snapshotEpoch() const { return slot_.epoch(); }
     ScreenerSnapshotSlot &snapshots() { return slot_; }
     screening::CandidateCache &cache() { return cache_; }
 
-    /** Cycles spent by the representative rank in the last forward(). */
-    Cycles lastRankCycles() const { return last_cycles_; }
-
   private:
-    /** Build an untrained screener from these options (fresh seed). */
-    std::unique_ptr<screening::Screener> makeScreener(uint64_t seed) const;
+    /** A screener drawn from `seed`, trained, frozen and tuned. */
+    std::pair<std::unique_ptr<screening::Screener>, screening::TrainReport>
+    trainScreener(uint64_t seed, const std::vector<tensor::Vector> &train_h,
+                  const std::vector<tensor::Vector> &val_h) const;
+
+    /** Check a finished screener against this classifier and publish it
+     *  as the next epoch; returns that epoch. */
+    uint64_t publish(std::unique_ptr<const screening::Screener> screener,
+                     uint64_t projection_seed);
 
     /** Serve one validated cache hit host-side (exact rows from h). */
     ClassifierOutput serveHit(const screening::CacheEntry &entry,
@@ -157,18 +186,7 @@ class EnmcClassifier
     ClassifierOptions options_;
     EnmcSystem system_;
     ScreenerSnapshotSlot slot_;
-    /**
-     * Mutable alias of the *initial* published screener, used only by
-     * the offline calibrate()/load() flow (which runs before serving
-     * starts, so the published snapshot is not yet shared). Hot-swapped
-     * screeners are trained outside the slot and arrive frozen.
-     */
-    screening::Screener *calib_screener_ = nullptr;
-    /** Rng seed the current screener's projection was drawn from. */
-    uint64_t projection_seed_ = 0;
     screening::CandidateCache cache_;
-    std::atomic<bool> calibrated_{false}; //!< swapScreener() vs forward()
-    Cycles last_cycles_ = 0;
 };
 
 } // namespace enmc::runtime

@@ -41,13 +41,15 @@ ScreenerSnapshotSlot::ScreenerSnapshotSlot(const SnapshotConfig &cfg)
 }
 
 uint64_t
-ScreenerSnapshotSlot::publish(std::unique_ptr<screening::Screener> screener)
+ScreenerSnapshotSlot::publish(
+    std::unique_ptr<const screening::Screener> screener,
+    uint64_t projection_seed)
 {
     ENMC_ASSERT(screener != nullptr, "cannot publish a null screener");
     std::lock_guard<std::mutex> lock(mutex_);
     const uint64_t epoch = ++epoch_;
-    auto next =
-        std::make_shared<const ScreenerSnapshot>(epoch, std::move(screener));
+    auto next = std::make_shared<const ScreenerSnapshot>(
+        epoch, std::move(screener), projection_seed);
     if (current_) {
         retired_.push_back(std::move(current_));
         ++stat_retired_;
@@ -55,17 +57,8 @@ ScreenerSnapshotSlot::publish(std::unique_ptr<screening::Screener> screener)
     }
     current_ = std::move(next);
     ++stat_publishes_;
-    if (cfg_.auto_collect) {
-        size_t freed = 0;
-        std::erase_if(retired_, [&freed](const auto &snap) {
-            if (snap.use_count() == 1) {
-                ++freed;
-                return true;
-            }
-            return false;
-        });
-        stat_collected_ += freed;
-    }
+    if (cfg_.auto_collect)
+        collectLocked();
     if (retired_.size() > cfg_.max_retired)
         ENMC_FATAL("snapshot grace list exceeded max_retired=",
                    cfg_.max_retired,
@@ -92,14 +85,15 @@ size_t
 ScreenerSnapshotSlot::collect()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t freed = 0;
-    std::erase_if(retired_, [&freed](const auto &snap) {
-        if (snap.use_count() == 1) {
-            ++freed;
-            return true;
-        }
-        return false;
-    });
+    return collectLocked();
+}
+
+size_t
+ScreenerSnapshotSlot::collectLocked()
+{
+    // A retiree the list alone still references has no readers left.
+    const size_t freed = std::erase_if(
+        retired_, [](const auto &snap) { return snap.use_count() == 1; });
     stat_collected_ += freed;
     return freed;
 }

@@ -51,20 +51,25 @@ struct SnapshotConfig
 /** `base` with `ENMC_SNAPSHOT_*` overrides applied. */
 SnapshotConfig snapshotConfigFromEnv(SnapshotConfig base = SnapshotConfig{});
 
-/** An immutable epoch-tagged screener version. */
+/** An immutable epoch-tagged screener version, with the Rng seed its
+ *  projection was drawn from (everything forward() or save() reads). */
 class ScreenerSnapshot
 {
   public:
     ScreenerSnapshot(uint64_t epoch,
-                     std::unique_ptr<screening::Screener> screener)
-        : epoch_(epoch), screener_(std::move(screener)) {}
+                     std::unique_ptr<const screening::Screener> screener,
+                     uint64_t projection_seed)
+        : epoch_(epoch), screener_(std::move(screener)),
+          projection_seed_(projection_seed) {}
 
     uint64_t epoch() const { return epoch_; }
     const screening::Screener &screener() const { return *screener_; }
+    uint64_t projectionSeed() const { return projection_seed_; }
 
   private:
     uint64_t epoch_;
-    std::unique_ptr<screening::Screener> screener_;
+    std::unique_ptr<const screening::Screener> screener_;
+    uint64_t projection_seed_;
 };
 
 /** The publication point: one current snapshot + retired grace list. */
@@ -74,11 +79,13 @@ class ScreenerSnapshotSlot
     explicit ScreenerSnapshotSlot(const SnapshotConfig &cfg = {});
 
     /**
-     * Publish a new screener version; returns its epoch. The previous
+     * Publish a finished screener (projection drawn from
+     * `projection_seed`) as a new version; returns its epoch. The previous
      * current snapshot (if any) retires; with auto_collect, expired
      * retirees are freed in the same call.
      */
-    uint64_t publish(std::unique_ptr<screening::Screener> screener);
+    uint64_t publish(std::unique_ptr<const screening::Screener> screener,
+                     uint64_t projection_seed);
 
     /**
      * Acquire the current snapshot (nullptr before the first publish).
@@ -102,6 +109,9 @@ class ScreenerSnapshotSlot
     StatGroup &stats() { return stats_; }
 
   private:
+    /** collect() for a caller that holds mutex_. */
+    size_t collectLocked();
+
     SnapshotConfig cfg_;
     mutable std::mutex mutex_;
     std::shared_ptr<const ScreenerSnapshot> current_;

@@ -175,11 +175,4 @@ CandidateCache::insert(const tensor::QuantizedVector &yq, uint64_t epoch,
     ++stat_insertions_;
 }
 
-void
-CandidateCache::clear()
-{
-    lru_.clear();
-    index_.clear();
-}
-
 } // namespace enmc::screening

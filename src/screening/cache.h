@@ -123,9 +123,6 @@ class CandidateCache
                 std::vector<uint32_t> candidates,
                 tensor::Vector approx_logits);
 
-    /** Drop every entry (e.g. after an explicit reset). */
-    void clear();
-
     StatGroup &stats() { return stats_; }
 
   private:

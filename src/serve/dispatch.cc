@@ -1,5 +1,7 @@
 #include "serve/dispatch.h"
 
+#include <functional>
+
 #include "cluster/backend.h"
 #include "common/logging.h"
 
@@ -37,6 +39,19 @@ screenerBusyUs(const runtime::TimingResult &t, double freq_hz)
 
 } // namespace
 
+std::vector<runtime::ClassifierOutput>
+Dispatcher::forward(const std::vector<tensor::Vector> &h_batch, size_t k)
+{
+    ENMC_ASSERT(classifier_ != nullptr,
+                "dispatch: forward without an attached classifier");
+    cluster::ClusterRouter *fabric = router();
+    if (fabric == nullptr)
+        return classifier_->forward(h_batch, k);
+    return classifier_->forward(
+        h_batch, k,
+        std::bind_front(&cluster::ClusterRouter::runFunctional, fabric));
+}
+
 BackendDispatcher::BackendDispatcher(
     std::unique_ptr<runtime::Backend> backend, const runtime::JobSpec &job,
     double freq_hz)
@@ -54,15 +69,6 @@ BackendDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
     const runtime::TimingResult &t = jobs_.runJob(spec);
     return deductBypasses(t.seconds * 1e6, screenerBusyUs(t, freq_hz_),
                           batch, screened);
-}
-
-std::vector<runtime::ClassifierOutput>
-BackendDispatcher::forward(const std::vector<tensor::Vector> &h_batch,
-                           size_t k)
-{
-    ENMC_ASSERT(classifier_ != nullptr,
-                "dispatch: forward without an attached classifier");
-    return classifier_->forward(h_batch, k);
 }
 
 PlannedDispatcher::PlannedDispatcher(
@@ -115,18 +121,6 @@ PlannedDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
                           screened);
 }
 
-std::vector<runtime::ClassifierOutput>
-PlannedDispatcher::forward(const std::vector<tensor::Vector> &h_batch,
-                           size_t k)
-{
-    ENMC_ASSERT(classifier_ != nullptr,
-                "dispatch: forward without an attached classifier");
-    // Functional outputs never depend on the planner's timing pick: the
-    // classifier computes them, so logits are bit-identical to every
-    // fixed-backend dispatcher by construction.
-    return classifier_->forward(h_batch, k);
-}
-
 ClusterDispatcher::ClusterDispatcher(const cluster::ClusterConfig &cfg,
                                      const runtime::JobSpec &job)
     : router_(cfg, job)
@@ -138,6 +132,16 @@ ClusterDispatcher::name() const
 {
     return "cluster(" + std::to_string(router_.nodeCount()) + "x" +
            router_.config().node_backend + ")";
+}
+
+void
+ClusterDispatcher::attachClassifier(runtime::EnmcClassifier &clf)
+{
+    // Every node runs the cache misses under the cluster's node system,
+    // not the classifier's own, so the cache rule is checked against it.
+    runtime::requireCacheExact(clf.cache().enabled(), clf.options().quant,
+                               router_.config().node);
+    Dispatcher::attachClassifier(clf);
 }
 
 std::string
@@ -155,31 +159,9 @@ ClusterDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
     // No memo here: the router re-times every batch over the live nodes
     // (their own JobMemos make that cheap), so a node kill re-times the
     // batches after it instead of serving frozen numbers.
-    // `screened` is ignored: the fabric does not support the candidate
-    // cache (its forward path screens inside each node), so timing stays
-    // conservative and exact.
+    // `screened` is ignored, conservatively: cache hits skip screening
+    // on every node, but the fabric is timed as if each item screened.
     return router_.serviceUs(batch, candidates);
-}
-
-std::vector<runtime::ClassifierOutput>
-ClusterDispatcher::forward(const std::vector<tensor::Vector> &h_batch,
-                           size_t k)
-{
-    ENMC_ASSERT(classifier_ != nullptr,
-                "dispatch: forward without an attached classifier");
-    // One snapshot for the whole batch, as in EnmcClassifier::forward:
-    // a concurrent hot-swap neither mixes epochs within the batch nor
-    // frees the screener under it. Same ranks-per-node the
-    // classifier itself slices across, so a 1-node cluster is
-    // bit-identical to the classifier's own forward.
-    const auto snap = classifier_->snapshots().current();
-    ENMC_ASSERT(snap != nullptr, "no screener published");
-    std::vector<runtime::ClassifierOutput> outs = router_.computeBatch(
-        classifier_->teacher(), snap->screener(), h_batch, k,
-        classifier_->options().ranks);
-    for (runtime::ClassifierOutput &out : outs)
-        out.snapshot_epoch = snap->epoch();
-    return outs;
 }
 
 std::unique_ptr<Dispatcher>

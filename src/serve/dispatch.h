@@ -6,12 +6,13 @@
  *
  * `Dispatcher` is the seam: `serviceUs` is the simulated backend time of
  * one batch (the loop adds its own per-offload handoff), `forward` is
- * the functional execution, and `routeBatch` is the per-dispatch routing
- * hook — a no-op for a single backend, a scatter/gather fan-out (plus
- * any scripted node kill) for a cluster. The loop calls `routeBatch`
- * exactly once per dispatched batch in *both* serving modes, so replay
- * and live runs see the same routing sequence for the same batch
- * sequence.
+ * the functional execution (the attached classifier's own, with a
+ * cluster's fabric running its cache misses), and `routeBatch` is the
+ * per-dispatch routing hook — a no-op for a single backend, a
+ * scatter/gather fan-out (plus any scripted node kill) for a cluster.
+ * The loop calls `routeBatch` exactly once per dispatched batch in
+ * *both* serving modes, so replay and live runs see the same routing
+ * sequence for the same batch sequence.
  */
 
 #ifndef ENMC_SERVE_DISPATCH_H
@@ -78,9 +79,15 @@ class Dispatcher
         return serviceUs(batch, candidates, batch);
     }
 
-    /** Functional forward of a batch (requires an attached classifier). */
-    virtual std::vector<runtime::ClassifierOutput>
-    forward(const std::vector<tensor::Vector> &h_batch, size_t k) = 0;
+    /**
+     * Functional forward of a batch through the attached classifier's
+     * `forward` — its cache, one snapshot and its epoch stamp for every
+     * dispatcher — with the cluster fabric, if any, running the cache
+     * misses. Outputs never depend on the timing route (the planner's
+     * pick, a failover), so they are bit-identical across dispatchers.
+     */
+    std::vector<runtime::ClassifierOutput>
+    forward(const std::vector<tensor::Vector> &h_batch, size_t k);
 
     /** The cluster fabric behind this dispatcher, if any. */
     virtual cluster::ClusterRouter *router() { return nullptr; }
@@ -103,8 +110,6 @@ class BackendDispatcher : public Dispatcher
     using Dispatcher::serviceUs;
     double serviceUs(uint64_t batch, uint64_t candidates,
                      uint64_t screened) override;
-    std::vector<runtime::ClassifierOutput>
-    forward(const std::vector<tensor::Vector> &h_batch, size_t k) override;
 
   private:
     std::unique_ptr<runtime::Backend> backend_;
@@ -133,8 +138,6 @@ class PlannedDispatcher : public Dispatcher
     using Dispatcher::serviceUs;
     double serviceUs(uint64_t batch, uint64_t candidates,
                      uint64_t screened) override;
-    std::vector<runtime::ClassifierOutput>
-    forward(const std::vector<tensor::Vector> &h_batch, size_t k) override;
     runtime::OffloadPlanner *planner() override
     {
         return &backend_->planner();
@@ -163,13 +166,14 @@ class ClusterDispatcher : public Dispatcher
                       const runtime::JobSpec &job);
 
     std::string name() const override;
+    /** Fatal when the classifier's cache is on and the nodes inject
+     *  faults or run resilient (runtime::requireCacheExact). */
+    void attachClassifier(runtime::EnmcClassifier &clf) override;
     std::string routeBatch(uint64_t batch, uint64_t candidates,
                            double now_us) override;
     using Dispatcher::serviceUs;
     double serviceUs(uint64_t batch, uint64_t candidates,
                      uint64_t screened) override;
-    std::vector<runtime::ClassifierOutput>
-    forward(const std::vector<tensor::Vector> &h_batch, size_t k) override;
     cluster::ClusterRouter *router() override { return &router_; }
 
   private:

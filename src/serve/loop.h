@@ -131,10 +131,10 @@ class ServeLoop
      * Run `fn` once, immediately before the functional compute of the
      * first batch whose dispatch index is >= `after_batches` (0 = before
      * the very first batch). This is the online hot-swap hook: `fn`
-     * typically calls `EnmcClassifier::swapScreener`/`refresh`, so in
-     * replay mode the swap point is a deterministic function of (trace,
-     * after_batches), and in live mode it fires on the executor thread
-     * between batches — never mid-batch. One pending swap at a time; a
+     * typically calls `EnmcClassifier::refresh`, so in replay mode the
+     * swap point is a deterministic function of (trace, after_batches),
+     * and in live mode it fires on the executor thread between batches
+     * — never mid-batch. One pending swap at a time; a
      * second call overwrites an unfired one.
      */
     void scheduleSwap(uint64_t after_batches, std::function<void()> fn);

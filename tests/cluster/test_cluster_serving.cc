@@ -12,7 +12,10 @@
  *  - a scripted mid-run node kill is survived with zero wrong answers,
  *    zero dispatches to the dead node, and a still-deterministic replay;
  *  - a mid-run screener refresh is served per snapshot: every response
- *    carries the epoch it was computed under and that epoch's answer.
+ *    carries the epoch it was computed under and that epoch's answer;
+ *  - the cluster serves through the classifier's candidate cache, with
+ *    the fabric running only the misses, and the cache never meets a
+ *    node that injects faults or runs resilient.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "common/rng.h"
 #include "runtime/api.h"
 #include "serve/loop.h"
 #include "workloads/synthetic.h"
@@ -331,6 +335,115 @@ TEST_F(ClusterServingTest, ReplaySwapServesEachEpochsExactOutput)
     }
     EXPECT_TRUE(saw_old) << "swap after batch 1 must leave epoch-1 output";
     EXPECT_TRUE(saw_new) << "swap never took effect";
+}
+
+TEST_F(ClusterServingTest, CacheOnMatchesUnshardedReference)
+{
+    // Zipf-repeated queries over a 4-node, 2-way-replicated cluster that
+    // loses node 1 and refreshes its screener mid-run, with the cache on:
+    // hits are served host-side, misses scatter/gather over the fabric,
+    // and every response equals a cache-off single-node reference at
+    // that response's epoch.
+    runtime::ClassifierOptions opt;
+    opt.candidates = 48;
+    opt.cache.capacity = 16;
+    runtime::SystemConfig sys;
+    sys.sim_threads = 4;
+    runtime::EnmcClassifier clf(model_.classifier(), opt, sys);
+    clf.calibrate(train_, val_);
+
+    ServeConfig cfg = clusterConfig(4, 2);
+    cfg.cluster.kill.node = 1;
+    cfg.cluster.kill.after_batches = 2;
+    ServeLoop loop(cfg, job());
+    loop.attachClassifier(clf);
+    loop.scheduleSwap(3, [&] { clf.refresh(train_, val_); });
+
+    constexpr size_t kRequests = 48;
+    constexpr size_t kPool = 6;
+    Rng pick(11);
+    const ZipfSampler zipf(kPool, 1.1);
+    std::vector<size_t> query_of(kRequests);
+    ArrivalTrace arrivals;
+    for (size_t i = 0; i < kRequests; ++i) {
+        query_of[i] = static_cast<size_t>(zipf(pick));
+        Request r;
+        r.id = i;
+        r.hidden = queries_[query_of[i]];
+        r.arrival_us = static_cast<double>(i / 8) * 120.0 +
+                       static_cast<double>(i % 2) * 10.0;
+        arrivals.requests.push_back(r);
+    }
+    arrivals.normalize();
+    const ServeReport report = loop.replay(arrivals);
+
+    auto ref1 = makeClassifier(4);
+    auto ref2 = makeClassifier(4);
+    ASSERT_EQ(ref2->refresh(train_, val_), 2u);
+
+    ASSERT_EQ(report.responses.size(), kRequests);
+    size_t hits = 0;
+    bool saw_new = false;
+    for (const Response &resp : report.responses) {
+        ASSERT_EQ(resp.admission, Admission::Admitted);
+        ASSERT_TRUE(resp.snapshot_epoch == 1 || resp.snapshot_epoch == 2)
+            << "request " << resp.id << " served under epoch "
+            << resp.snapshot_epoch;
+        runtime::EnmcClassifier &ref =
+            resp.snapshot_epoch == 1 ? *ref1 : *ref2;
+        const auto expect = ref.forward({queries_[query_of[resp.id]]}, 5);
+        ASSERT_EQ(resp.probabilities.size(),
+                  expect[0].probabilities.size());
+        ASSERT_EQ(std::memcmp(resp.probabilities.data(),
+                              expect[0].probabilities.data(),
+                              expect[0].probabilities.size() *
+                                  sizeof(float)),
+                  0)
+            << "request " << resp.id << " (epoch " << resp.snapshot_epoch
+            << ", cache hit " << resp.cache_hit
+            << ") does not match its epoch's reference";
+        ASSERT_EQ(resp.topk, expect[0].topk);
+        ASSERT_EQ(resp.candidates, expect[0].candidates);
+        hits += resp.cache_hit ? 1 : 0;
+        saw_new |= resp.snapshot_epoch == 2;
+    }
+    EXPECT_GT(hits, 0u) << "the cluster path never hit the cache";
+    EXPECT_TRUE(saw_new) << "the refresh never took effect";
+
+    cluster::ClusterRouter *router = loop.clusterRouter();
+    ASSERT_NE(router, nullptr);
+    EXPECT_FALSE(router->node(1).alive());
+    EXPECT_EQ(router->stats().counter("deadDispatches").value(), 0u);
+}
+
+// Threadsafe death tests: ENMC_FATAL's exit joins the global pool, whose
+// threads a forked child lacks (see ApiTest's cache death tests).
+TEST_F(ClusterServingTest, CacheOnFaultInjectingNodesIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    runtime::ClassifierOptions opt;
+    opt.candidates = 48;
+    opt.cache.capacity = 16;
+    runtime::EnmcClassifier clf(model_.classifier(), opt);
+    clf.calibrate(train_, val_);
+    runtime::SystemConfig node;
+    node.fault.enabled = true;
+    ServeLoop loop(clusterConfig(4, 2), job(), node);
+    EXPECT_DEATH(loop.attachClassifier(clf), "fault injection");
+}
+
+TEST_F(ClusterServingTest, CacheOnResilientNodesIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    runtime::ClassifierOptions opt;
+    opt.candidates = 48;
+    opt.cache.capacity = 16;
+    runtime::EnmcClassifier clf(model_.classifier(), opt);
+    clf.calibrate(train_, val_);
+    runtime::SystemConfig node;
+    node.resilient = true;
+    ServeLoop loop(clusterConfig(4, 2), job(), node);
+    EXPECT_DEATH(loop.attachClassifier(clf), "resilient mode");
 }
 
 TEST_F(ClusterServingTest, LiveModeClusterMatchesReference)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "runtime/api.h"
 #include "tensor/topk.h"
 #include "workloads/synthetic.h"
@@ -76,8 +79,13 @@ TEST_F(ApiTest, ForwardReportsCyclesAndCandidates)
 {
     EnmcClassifier clf(model_.classifier(), options());
     clf.calibrate(train_, val_);
-    const auto out = clf.forward(model_.sampleHiddenBatch(rng_, 2), 3);
-    EXPECT_GT(clf.lastRankCycles(), 0u);
+    const auto h_batch = model_.sampleHiddenBatch(rng_, 2);
+    const auto out = clf.forward(h_batch, 3);
+    EXPECT_GT(clf.system()
+                  .runFunctional(model_.classifier(), clf.screener(), h_batch,
+                                 clf.options().ranks)
+                  .rank_cycles,
+              0u);
     for (const auto &o : out) {
         EXPECT_EQ(o.topk.size(), 3u);
         EXPECT_FALSE(o.candidates.empty());
@@ -119,6 +127,73 @@ TEST_F(ApiTest, ForwardBeforeCalibratePanics)
     EnmcClassifier clf(model_.classifier(), options());
     EXPECT_DEATH((void)clf.forward(model_.sampleHiddenBatch(rng_, 1), 1),
                  "calibrate");
+}
+
+TEST_F(ApiTest, ConstructionPublishesNothing)
+{
+    // Calibrated means an epoch is published; construction publishes none.
+    EnmcClassifier clf(model_.classifier(), options());
+    EXPECT_EQ(clf.snapshotEpoch(), 0u);
+    clf.calibrate(train_, val_);
+    EXPECT_EQ(clf.snapshotEpoch(), 1u);
+    EXPECT_EQ(clf.refresh(train_, val_), 2u);
+}
+
+// The candidate cache runs only where it serves bit-exactly: any other
+// combination dies with a diagnostic instead of silently serving uncached.
+// ENMC_FATAL exits, and exit runs the global thread pool's destructor,
+// which would wait on worker threads a forked child does not have; the
+// threadsafe style runs each death test in a fresh process instead.
+TEST_F(ApiTest, CacheWithFp32ScreenerIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ClassifierOptions opt = options();
+    opt.cache.capacity = 8;
+    opt.quant = tensor::QuantBits::Fp32;
+    EXPECT_DEATH({ EnmcClassifier clf(model_.classifier(), opt); },
+                 "FP32 screener");
+}
+
+TEST_F(ApiTest, CacheWithFaultInjectionIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ClassifierOptions opt = options();
+    opt.cache.capacity = 8;
+    SystemConfig sys;
+    sys.fault.enabled = true;
+    EXPECT_DEATH({ EnmcClassifier clf(model_.classifier(), opt, sys); },
+                 "fault injection");
+}
+
+TEST_F(ApiTest, CacheWithResilientModeIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ClassifierOptions opt = options();
+    opt.cache.capacity = 8;
+    SystemConfig sys;
+    sys.resilient = true;
+    EXPECT_DEATH({ EnmcClassifier clf(model_.classifier(), opt, sys); },
+                 "resilient mode");
+}
+
+TEST_F(ApiTest, PublishingFp32ScreenerIntoCacheIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // The options pass construction; the loaded FP32 screener fails at
+    // its publish.
+    ClassifierOptions fp32 = options();
+    fp32.quant = tensor::QuantBits::Fp32;
+    EnmcClassifier trained(model_.classifier(), fp32);
+    trained.calibrate(train_, val_);
+    const std::string path = ::testing::TempDir() + "fp32_screener.enmc";
+    trained.save(path);
+
+    ClassifierOptions opt = options();
+    opt.cache.capacity = 8;
+    EnmcClassifier clf(model_.classifier(), opt);
+    EXPECT_DEATH(clf.load(path), "FP32 screener");
+    EXPECT_FALSE(clf.calibrated());
+    std::remove(path.c_str());
 }
 
 } // namespace

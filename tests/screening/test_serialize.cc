@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "runtime/api.h"
 #include "screening/serialize.h"
@@ -138,6 +141,48 @@ TEST_F(SerializeTest, ApiSaveBeforeCalibratePanics)
     runtime::ClassifierOptions opt;
     runtime::EnmcClassifier clf(model_.classifier(), opt);
     EXPECT_DEATH(clf.save("/tmp/never.enmc"), "calibrate");
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST_F(SerializeTest, LoadThenRefreshMatchesCalibrateThenRefresh)
+{
+    // calibrate, load and refresh all publish one epoch each, so a loaded
+    // classifier sits at epoch 1 like a calibrated one, and its refresh
+    // draws the same seed: the refreshed screeners are byte-identical.
+    runtime::ClassifierOptions opt;
+    opt.candidates = 32;
+    Rng data = model_.makeRng(3);
+    const auto train = model_.sampleHiddenBatch(data, 96);
+    const auto val = model_.sampleHiddenBatch(data, 32);
+    const std::string dir = ::testing::TempDir();
+
+    runtime::EnmcClassifier calibrated(model_.classifier(), opt);
+    calibrated.calibrate(train, val);
+    calibrated.save(dir + "calibrated.enmc");
+    ASSERT_EQ(calibrated.refresh(train, val), 2u);
+    calibrated.save(dir + "calibrated_refreshed.enmc");
+
+    runtime::EnmcClassifier loaded(model_.classifier(), opt);
+    loaded.load(dir + "calibrated.enmc");
+    EXPECT_EQ(loaded.snapshotEpoch(), 1u);
+    ASSERT_EQ(loaded.refresh(train, val), 2u);
+    loaded.save(dir + "loaded_refreshed.enmc");
+
+    const std::string want = fileBytes(dir + "calibrated_refreshed.enmc");
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(fileBytes(dir + "loaded_refreshed.enmc"), want);
+    EXPECT_NE(fileBytes(dir + "calibrated.enmc"), want)
+        << "the refresh must have drawn a new screener";
+    for (const char *name : {"calibrated.enmc", "calibrated_refreshed.enmc",
+                             "loaded_refreshed.enmc"})
+        std::remove((dir + name).c_str());
 }
 
 } // namespace

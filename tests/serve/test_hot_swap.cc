@@ -14,21 +14,27 @@
  *    after_batches): two runs are bit-identical response for response;
  *  - the snapshot slot's RCU grace list retires and collects correctly
  *    while readers hold snapshots (the TSan soak in CI repeats the live
- *    test under -fsanitize=thread to catch torn reads).
+ *    test under -fsanitize=thread to catch torn reads);
+ *  - save() reads one snapshot, so a file saved while refreshes publish
+ *    always holds exactly one published epoch's screener and seed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/api.h"
 #include "runtime/snapshot.h"
+#include "screening/serialize.h"
 #include "serve/loop.h"
 #include "workloads/synthetic.h"
 
@@ -303,6 +309,75 @@ TEST_F(HotSwapTest, ConcurrentRefreshWhileForwardServes)
     EXPECT_EQ(clf->snapshots().retiredCount(), 0u);
 }
 
+bool
+sameMatrix(const tensor::Matrix &a, const tensor::Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(float)) == 0;
+}
+
+/** Projection (rebuilt from the saved seed) and weights, memcmp-exact. */
+bool
+sameScreener(const screening::Screener &a, const screening::Screener &b)
+{
+    return sameMatrix(a.projection().toDense(), b.projection().toDense()) &&
+           sameMatrix(a.weights(), b.weights());
+}
+
+TEST_F(HotSwapTest, SaveDuringRefreshRoundTrips)
+{
+    // One control thread refreshes while this thread saves in a loop.
+    // save() reads the screener and its projection seed from one
+    // snapshot, so every saved file loads back as exactly one published
+    // epoch's screener — never one epoch's weights over another epoch's
+    // projection.
+    auto clf = makeClassifier();
+    constexpr uint64_t kRefreshes = 3;
+    std::mutex published_mutex;
+    // Pinned so every epoch's screener outlives its turn as current.
+    std::vector<std::shared_ptr<const runtime::ScreenerSnapshot>> published{
+        clf->snapshots().current()};
+    std::atomic<bool> done{false};
+
+    std::thread control([&] {
+        for (uint64_t i = 0; i < kRefreshes; ++i) {
+            clf->refresh(train_, val_);
+            std::lock_guard<std::mutex> lock(published_mutex);
+            published.push_back(clf->snapshots().current());
+        }
+        done.store(true);
+    });
+
+    const std::string path = ::testing::TempDir() + "hot_swap_save.enmc";
+    size_t saves = 0;
+    size_t unmatched = 0;
+    while (!done.load() || saves == 0) {
+        clf->save(path);
+        const auto loaded = screening::loadScreenerFile(path);
+        // The epoch the save read is either still current or was pinned
+        // before the publish that superseded it.
+        auto candidates = std::vector{clf->snapshots().current()};
+        {
+            std::lock_guard<std::mutex> lock(published_mutex);
+            candidates.insert(candidates.end(), published.begin(),
+                              published.end());
+        }
+        uint64_t match = 0;
+        for (const auto &snap : candidates)
+            if (sameScreener(*loaded, snap->screener()))
+                match = snap->epoch();
+        unmatched += match == 0 ? 1 : 0;
+        ++saves;
+    }
+    control.join();
+    std::remove(path.c_str());
+    EXPECT_EQ(unmatched, 0u)
+        << unmatched << " of " << saves
+        << " saved files match no published epoch";
+    EXPECT_EQ(clf->snapshotEpoch(), 1u + kRefreshes);
+}
+
 TEST_F(HotSwapTest, SnapshotSlotRetiresAndCollectsUnderReaders)
 {
     auto make_screener = [&](uint64_t seed) {
@@ -317,13 +392,13 @@ TEST_F(HotSwapTest, SnapshotSlotRetiresAndCollectsUnderReaders)
     EXPECT_EQ(slot.epoch(), 0u);
     EXPECT_EQ(slot.current(), nullptr);
 
-    EXPECT_EQ(slot.publish(make_screener(1)), 1u);
+    EXPECT_EQ(slot.publish(make_screener(1), 1), 1u);
     auto reader = slot.current(); // holds epoch 1 across the swaps below
     ASSERT_NE(reader, nullptr);
     EXPECT_EQ(reader->epoch(), 1u);
 
-    EXPECT_EQ(slot.publish(make_screener(2)), 2u);
-    EXPECT_EQ(slot.publish(make_screener(3)), 3u);
+    EXPECT_EQ(slot.publish(make_screener(2), 2), 2u);
+    EXPECT_EQ(slot.publish(make_screener(3), 3), 3u);
     EXPECT_EQ(slot.epoch(), 3u);
     // Epoch 2 had no readers, so auto-collect freed it at the next
     // publish; epoch 1 is pinned by `reader`.
