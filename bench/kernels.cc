@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/kernels.h"
@@ -168,8 +170,44 @@ BENCHMARK(BM_Quantize)->Arg(1024)->Arg(16384);
 
 // ---------------------------------------------------------------------
 // Per-dispatch-target variants, registered for every target this CPU
-// supports so one run records the scalar/sse2/avx2 comparison (the
-// speedup numbers archived in BENCH_kernels.json).
+// supports so one run records the scalar/avx2/avx512 comparison of every
+// kernel-table entry (the speedup numbers archived in BENCH_kernels.json,
+// from which each AVX-512 override is kept or dropped).
+
+void
+DotAtTarget(benchmark::State &state, kernels::Target t)
+{
+    kernels::setActiveTarget(t);
+    const Vector a = randomVector(state.range(0), 12);
+    const Vector b = randomVector(state.range(0), 13);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernels::dot(a, b));
+    state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
+}
+
+void
+AxpyAtTarget(benchmark::State &state, kernels::Target t)
+{
+    kernels::setActiveTarget(t);
+    const Vector x = randomVector(state.range(0), 14);
+    Vector y = randomVector(state.range(0), 15);
+    for (auto _ : state) {
+        kernels::axpy(1e-3f, x, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
+}
+
+void
+AbsMaxAtTarget(benchmark::State &state, kernels::Target t)
+{
+    kernels::setActiveTarget(t);
+    const Vector v = randomVector(state.range(0), 16);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernels::absMax(v));
+    state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
+}
 
 void
 GemvFp32AtTarget(benchmark::State &state, kernels::Target t)
@@ -245,6 +283,18 @@ QuantizeAtTarget(benchmark::State &state, kernels::Target t)
     state.SetItemsProcessed(int64_t(state.iterations()) * w.size());
 }
 
+/** The per-request quantization: one reduced-dimension feature vector
+ *  (absMax + quantizeSpan), as serving runs it once per item. */
+void
+QuantizeVectorAtTarget(benchmark::State &state, kernels::Target t)
+{
+    kernels::setActiveTarget(t);
+    const Vector y = randomVector(state.range(0), 17);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(quantize(y, QuantBits::Int4));
+    state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
+}
+
 void
 BM_GemvFp32Parallel(benchmark::State &state)
 {
@@ -270,6 +320,14 @@ registerTargetVariants()
         auto name = [&tn](const char *base) {
             return std::string(base) + "<" + tn + ">";
         };
+        benchmark::RegisterBenchmark(name("BM_Dot").c_str(), DotAtTarget, t)
+            ->Arg(128)->Arg(1024);
+        benchmark::RegisterBenchmark(name("BM_Axpy").c_str(), AxpyAtTarget,
+                                     t)
+            ->Arg(128)->Arg(1024);
+        benchmark::RegisterBenchmark(name("BM_AbsMax").c_str(),
+                                     AbsMaxAtTarget, t)
+            ->Arg(128)->Arg(1024);
         benchmark::RegisterBenchmark(name("BM_GemvFp32").c_str(),
                                      GemvFp32AtTarget, t)
             ->Arg(1024)->Arg(8192)->Arg(65536);
@@ -285,53 +343,43 @@ registerTargetVariants()
         benchmark::RegisterBenchmark(name("BM_Quantize").c_str(),
                                      QuantizeAtTarget, t)
             ->Arg(16384);
+        benchmark::RegisterBenchmark(name("BM_QuantizeVector").c_str(),
+                                     QuantizeVectorAtTarget, t)
+            ->Arg(128)->Arg(512);
     }
 }
 
 // ---------------------------------------------------------------------
-// --check: the autotuning acceptance gate. The tuned configuration
-// (ENMC_TUNE_JSON + its kernel pin, or plain cpuid best) must not lose
-// to untuned AVX2 defaults on the two headline kernels. Timed as
-// min-of-N; a small tolerance absorbs scheduler noise on shared CI.
+// --check: the dispatch acceptance gate. The configured dispatch
+// (ENMC_TUNE_JSON + its kernel pin, or plain cpuid best when no tune
+// file is set) must not lose to untuned AVX2 defaults on the headline
+// kernels: FP32 and INT4 GEMV, and the 8-query batched GEMV. Each kernel
+// is timed under both dispatches in alternation on the same buffers, so
+// host-speed drift and memory placement hit both sides alike; the gate
+// compares min-of-N, and a small tolerance absorbs scheduler noise on
+// shared CI.
 
-double
-secondsGemvFp32(size_t iters)
+/** A dispatch configuration: kernel target plus tunables. */
+struct Dispatch
 {
-    const size_t l = 65536, d = 128;
-    const Matrix w = randomMatrix(l, d, 1);
-    const Vector h = randomVector(d, 2);
-    Vector z(l);
-    double best = 1e30;
-    for (size_t i = 0; i < iters; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        kernels::gemvInto(w, h, {}, z, 1);
-        benchmark::DoNotOptimize(z.data());
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0).count());
-    }
-    return best;
-}
+    kernels::Target target;
+    kernels::TuneParams tune;
 
-double
-secondsGemvInt4(size_t iters)
-{
-    const size_t l = 65536, d = 128;
-    const QuantizedMatrix wq = quantize(randomMatrix(l, d, 3),
-                                        QuantBits::Int4);
-    const QuantizedVector hq = quantize(randomVector(d, 4),
-                                        QuantBits::Int4);
-    Vector z(l);
-    double best = 1e30;
-    for (size_t i = 0; i < iters; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        gemvQuantizedRows(wq, hq.values, hq.scale, {}, z, 0, l);
-        benchmark::DoNotOptimize(z.data());
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0).count());
+    void install() const
+    {
+        kernels::setActiveTarget(target);
+        kernels::setTuneParams(tune);
     }
-    return best;
+};
+
+/** Wall-clock seconds of one call of `fn`. */
+double
+secondsOf(const std::function<void()> &fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0).count();
 }
 
 int
@@ -343,39 +391,71 @@ runCheck()
         std::printf("check: SKIP (no AVX2 tier on this CPU/build)\n");
         return 0;
     }
-    // Tuned state as installed by loadFromEnv() (or startup defaults).
-    const kernels::TuneParams tuned = kernels::tune();
-    const kernels::Target tuned_target = kernels::activeTarget();
+    // Configured state as installed by loadFromEnv() (or startup
+    // defaults), against untuned AVX2.
+    const Dispatch configured{kernels::activeTarget(), kernels::tune()};
+    const Dispatch untuned{kernels::Target::Avx2, kernels::TuneParams{}};
+
+    const size_t l = 65536, d = 128, nq = 8;
+    const Matrix w = randomMatrix(l, d, 1);
+    const Vector h = randomVector(d, 2);
+    const QuantizedMatrix wq = quantize(randomMatrix(l, d, 3),
+                                        QuantBits::Int4);
+    const QuantizedVector hq = quantize(randomVector(d, 4),
+                                        QuantBits::Int4);
+    std::vector<Vector> hs(nq), zs(nq, Vector(l));
+    std::vector<const float *> hp(nq);
+    std::vector<float *> zp(nq);
+    for (size_t q = 0; q < nq; ++q) {
+        hs[q] = randomVector(d, 20 + q);
+        hp[q] = hs[q].data();
+        zp[q] = zs[q].data();
+    }
+    const struct { const char *name; std::function<void()> run; } gated[] = {
+        {"GemvFp32/65536", [&] {
+             kernels::gemvInto(w, h, {}, zs[0], 1);
+             benchmark::DoNotOptimize(zp[0]);
+         }},
+        {"GemvInt4/65536", [&] {
+             gemvQuantizedRows(wq, hq.values, hq.scale, {}, zs[0], 0, l);
+             benchmark::DoNotOptimize(zp[0]);
+         }},
+        {"GemvBatch/8", [&] {
+             kernels::gemvBatchInto(w, hp.data(), zp.data(), nq, {}, 1);
+             benchmark::DoNotOptimize(zp[0]);
+         }},
+    };
 
     constexpr size_t kIters = 40;
-    kernels::setActiveTarget(kernels::Target::Avx2);
-    kernels::setTuneParams(kernels::TuneParams{});
-    secondsGemvFp32(4); // warm caches and the page map
-    const double base_fp32 = secondsGemvFp32(kIters);
-    const double base_int4 = secondsGemvInt4(kIters);
-
-    kernels::setActiveTarget(tuned_target);
-    kernels::setTuneParams(tuned);
-    const double tuned_fp32 = secondsGemvFp32(kIters);
-    const double tuned_int4 = secondsGemvInt4(kIters);
-
     const double kTol = 1.05; // scheduler noise on min-of-N
     bool ok = true;
-    const struct { const char *name; double base, opt; } rows[] = {
-        {"GemvFp32/65536", base_fp32, tuned_fp32},
-        {"GemvInt4/65536", base_int4, tuned_int4},
-    };
-    std::printf("check: autotuned (%s) vs untuned avx2, min of %zu runs\n",
-                kernels::targetName(tuned_target), kIters);
-    for (const auto &r : rows) {
-        const double speedup = r.base / r.opt;
-        const bool pass = r.opt <= r.base * kTol;
+    std::printf("check: configured (%s) vs untuned avx2, min of %zu runs\n",
+                kernels::targetName(configured.target), kIters);
+    for (const auto &g : gated) {
+        for (const Dispatch *dsp : {&untuned, &configured}) {
+            dsp->install();
+            g.run(); // warm caches and the page map
+        }
+        double base = 1e30, opt = 1e30;
+        for (size_t i = 0; i < kIters; ++i) {
+            // Alternate which side runs first so neither always inherits
+            // the other's cache state.
+            const bool base_first = i % 2 == 0;
+            for (int side = 0; side < 2; ++side) {
+                const bool is_base = (side == 0) == base_first;
+                (is_base ? untuned : configured).install();
+                double &best = is_base ? base : opt;
+                best = std::min(best, secondsOf(g.run));
+            }
+        }
+        const bool pass = opt <= base * kTol;
         std::printf("check: %-16s untuned %8.1f us  tuned %8.1f us  "
                     "(%.2fx) %s\n",
-                    r.name, 1e6 * r.base, 1e6 * r.opt, speedup,
+                    g.name, 1e6 * base, 1e6 * opt, base / opt,
                     pass ? "ok" : "REGRESSION");
         ok = ok && pass;
     }
+    configured.install();
     std::printf("check: %s\n", ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
 }

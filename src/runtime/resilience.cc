@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "runtime/partition.h"
 
 namespace enmc::runtime {
 
@@ -135,33 +134,13 @@ ResilientBackend::runJob(const JobSpec &spec) const
 {
     const std::vector<uint32_t> healthy = healthyRanks();
     ENMC_ASSERT(!healthy.empty(), "every rank is blacklisted");
-    const uint64_t ranks = healthy.size();
 
-    // Repartition over the survivors: fewer ranks, bigger slices.
-    arch::RankTask task = EnmcSystem::makeSliceTask(
-        spec, RankPartitioner::sliceRows(spec.categories, ranks),
-        RankPartitioner::evenShare(spec.candidates, ranks));
-    task.rank_index = healthy.front();
-
-    // Same truncate-and-scale policy as the generic backend path.
-    const uint64_t max_rows = 64 * 1024;
-    double scale = 1.0;
-    if (task.categories > max_rows) {
-        scale = static_cast<double>(task.categories) / max_rows;
-        task.expected_candidates = std::max<uint64_t>(
-            1, static_cast<uint64_t>(task.expected_candidates / scale));
-        task.categories = max_rows;
-    }
-
-    const arch::RankResult r = runSlice(task);
-    TimingResult res;
-    res.rank = r;
-    res.ranks = ranks;
-    res.extrapolated = scale != 1.0;
-    res.rank_cycles = static_cast<Cycles>(r.cycles * scale);
+    // Repartition over the survivors (fewer ranks, bigger slices) and
+    // time them exactly as the plain enmc backend times a job.
+    TimingResult res = EnmcSystem(cfg_).runTiming(spec, healthy.size());
     // Discovering each dead rank cost the host `blacklist_after` failed
     // probe slices of one backoff each before it was dropped.
-    const uint64_t blacklisted = cfg_.totalRanks() - ranks;
+    const uint64_t blacklisted = cfg_.totalRanks() - healthy.size();
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stat_blacklisted_ += blacklisted;
@@ -169,18 +148,8 @@ ResilientBackend::runJob(const JobSpec &spec) const
     res.rank_cycles += blacklisted * cfg_.resilience.blacklist_after *
                        cfg_.resilience.retry_backoff_cycles;
     res.seconds = cyclesToSeconds(res.rank_cycles, cfg_.timing.freq_hz);
-    if (res.extrapolated) {
+    if (res.extrapolated)
         res.rank.cycles = res.rank_cycles;
-        res.rank.screen_bytes =
-            static_cast<uint64_t>(r.screen_bytes * scale);
-        res.rank.exec_bytes = static_cast<uint64_t>(r.exec_bytes * scale);
-        res.rank.output_bytes =
-            static_cast<uint64_t>(r.output_bytes * scale);
-        res.rank.dram_reads = static_cast<uint64_t>(r.dram_reads * scale);
-        res.rank.dram_writes = static_cast<uint64_t>(r.dram_writes * scale);
-        res.rank.dram_acts = static_cast<uint64_t>(r.dram_acts * scale);
-        res.rank.dram_refs = static_cast<uint64_t>(r.dram_refs * scale);
-    }
     return res;
 }
 

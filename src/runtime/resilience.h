@@ -62,7 +62,8 @@ class ResilientBackend : public Backend
     /**
      * Full-job timing over the *healthy* ranks only: blacklisted ranks
      * are dropped and the job is repartitioned, so each survivor takes a
-     * proportionally larger slice. Detecting each dead rank costs
+     * proportionally larger slice, timed by EnmcSystem::runTiming like
+     * the plain enmc backend. Detecting each dead rank costs
      * `blacklist_after` failed probe attempts of backoff each.
      */
     TimingResult runJob(const JobSpec &spec) const override;

@@ -136,13 +136,13 @@ EnmcSystem::makeRankTask(const JobSpec &spec) const
 }
 
 TimingResult
-EnmcSystem::runRank(const RankTask &task) const
+EnmcSystem::runRank(const RankTask &task, uint64_t ranks) const
 {
     const EnmcBackend backend(cfg_);
     TimingResult res;
     res.rank = backend.runSlice(task);
     res.rank_cycles = res.rank.cycles;
-    res.ranks = cfg_.totalRanks();
+    res.ranks = ranks;
     res.seconds = cyclesToSeconds(res.rank_cycles, cfg_.timing.freq_hz);
     recordSlice(res.rank);
 
@@ -167,18 +167,21 @@ EnmcSystem::runRank(const RankTask &task) const
 }
 
 TimingResult
-EnmcSystem::runTiming(const JobSpec &spec) const
+EnmcSystem::runTiming(const JobSpec &spec, uint64_t ranks) const
 {
+    ENMC_ASSERT(spec.categories > 0, "job dimensions not set");
     ++stat_timing_runs_;
     obs::TraceSpan span("runTiming", "pipeline");
     span.arg("categories", static_cast<double>(spec.categories));
     span.arg("batch", static_cast<double>(spec.batch));
-    RankTask task = makeRankTask(spec);
+    const RankTask task = makeSliceTask(
+        spec, RankPartitioner::sliceRows(spec.categories, ranks),
+        RankPartitioner::evenShare(spec.candidates, ranks));
     const uint64_t tile_rows = screeningTileRows(task, cfg_.enmc);
     const uint64_t tiles = ceilDiv(task.categories, tile_rows);
 
     if (tiles <= cfg_.max_sim_tiles)
-        return runRank(task);
+        return runRank(task, ranks);
 
     // Representative-tile extrapolation: measure two truncated slice
     // sizes, fit cycles = a + b * tiles, and extend. Candidate work and
@@ -192,7 +195,7 @@ EnmcSystem::runTiming(const JobSpec &spec) const
             1, static_cast<uint64_t>(
                    static_cast<double>(task.expected_candidates) *
                    t.categories / task.categories));
-        return runRank(t);
+        return runRank(t, ranks);
     };
     const TimingResult r1 = truncated(n1);
     const TimingResult r2 = truncated(n2);

@@ -120,8 +120,14 @@ class EnmcSystem
                                         uint64_t slice_categories,
                                         uint64_t slice_candidates);
 
-    /** Timing-only execution of a job (full scale). */
-    TimingResult runTiming(const JobSpec &spec) const;
+    /** Timing-only execution of a job (full scale) over every rank. */
+    TimingResult runTiming(const JobSpec &spec) const
+    {
+        return runTiming(spec, cfg_.totalRanks());
+    }
+
+    /** Timing-only execution of a job partitioned over `ranks` ranks. */
+    TimingResult runTiming(const JobSpec &spec, uint64_t ranks) const;
 
     /**
      * Outcome of a functional run: mixed logits per batch item (exact
@@ -185,7 +191,7 @@ class EnmcSystem
         uint64_t row_begin, uint64_t row_count) const;
 
   private:
-    TimingResult runRank(const arch::RankTask &task) const;
+    TimingResult runRank(const arch::RankTask &task, uint64_t ranks) const;
 
     /** Tally one merged slice result into the system stat group. */
     void recordSlice(const arch::RankResult &res) const;

@@ -52,8 +52,6 @@ tableFor(Target t)
     switch (t) {
       case Target::Scalar:
         return scalarKernelOps();
-      case Target::Sse2:
-        return sse2KernelOps();
       case Target::Avx2:
         return avx2KernelOps();
       case Target::Avx512:
@@ -79,8 +77,6 @@ bestAvailable()
         return Target::Avx512;
     if (targetAvailable(Target::Avx2))
         return Target::Avx2;
-    if (targetAvailable(Target::Sse2))
-        return Target::Sse2;
     return Target::Scalar;
 }
 
@@ -111,7 +107,7 @@ resolveTarget(const char *requested)
     Target t;
     if (!targetFromString(requested, &t))
         ENMC_FATAL("ENMC_KERNELS='", requested,
-                   "' is not one of scalar|sse2|avx2|avx512");
+                   "' is not one of scalar|avx2|avx512");
     if (!targetAvailable(t))
         ENMC_FATAL("ENMC_KERNELS=", requested,
                    " is not available on this CPU/build (best here: ",
@@ -147,8 +143,6 @@ std::vector<Target>
 availableTargets()
 {
     std::vector<Target> out{Target::Scalar};
-    if (targetAvailable(Target::Sse2))
-        out.push_back(Target::Sse2);
     if (targetAvailable(Target::Avx2))
         out.push_back(Target::Avx2);
     if (targetAvailable(Target::Avx512))
@@ -162,8 +156,6 @@ targetName(Target t)
     switch (t) {
       case Target::Scalar:
         return "scalar";
-      case Target::Sse2:
-        return "sse2";
       case Target::Avx2:
         return "avx2";
       case Target::Avx512:
@@ -177,8 +169,6 @@ targetFromString(std::string_view s, Target *out)
 {
     if (s == "scalar")
         *out = Target::Scalar;
-    else if (s == "sse2")
-        *out = Target::Sse2;
     else if (s == "avx2")
         *out = Target::Avx2;
     else if (s == "avx512")

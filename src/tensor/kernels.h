@@ -5,26 +5,30 @@
  *
  * Every dense numeric loop the experiments bottom out in — `dot`, `axpy`,
  * GEMV (FP32 and quantized-integer), quantization, and the sparse
- * projection — is implemented once per dispatch target (AVX-512,
- * AVX2+FMA, SSE2, portable scalar) behind a single function-pointer
- * table. The target is selected once at startup from cpuid and can be
- * forced with `ENMC_KERNELS=scalar|sse2|avx2|avx512` (tests and benches
- * may also switch at runtime with setActiveTarget()). Forcing a target
- * the CPU or build does not support is a fatal configuration error —
- * never a silent fallback.
+ * projection — sits behind a single function-pointer table with three
+ * dispatch targets: portable scalar (the reference), AVX2+FMA, and
+ * AVX-512, which is AVX2 plus the kernels 512-bit lanes win (the INT4
+ * screener GEMV, `dot` and `axpy`; the other entries are AVX2's, chosen
+ * from `bench/kernels` medians). The
+ * target is selected once at startup from cpuid and can be forced with
+ * `ENMC_KERNELS=scalar|avx2|avx512` (tests and benches may also switch at
+ * runtime with setActiveTarget()).
+ * Forcing a target the CPU or build does not support, or naming an
+ * unknown one, is a fatal configuration error — never a silent fallback.
  *
  * Numerics contract (tested in tests/tensor/test_kernels.cc):
  *  - Integer kernels (`gemvQuantRows`) and element-wise kernels (`axpy`,
  *    `absMax`, `quantizeSpan`) are BIT-EXACT across all targets.
- *  - FP32 reductions (`dot`, GEMV, projection) may differ across targets
- *    within a documented ULP envelope: each target fixes its own
- *    accumulation pattern (scalar: the original 4x double accumulators;
- *    SSE2: 16 float lanes; AVX2: 16 float lanes + FMA), so the error vs.
- *    the scalar reference is bounded by ~(n/lanes) rounding steps —
- *    tests allow 64 * eps * sum_i |a_i * b_i|. The AVX-512 tier keeps
+ *  - FP32 reductions (`dot`, GEMV, projection) may differ between scalar
+ *    and the SIMD targets within a documented ULP envelope: scalar
+ *    accumulates in 4 double accumulators, AVX2 in 16 float slots with
+ *    FMA, so the error vs. the scalar reference is bounded by
+ *    ~(n/lanes) rounding steps — tests allow
+ *    64 * eps * sum_i |a_i * b_i|. AVX-512's own FP32 `dot` keeps
  *    AVX2's exact 16-slot FMA pattern (one zmm register holds what AVX2
- *    spreads over two ymm), so avx512 FP32 results are BIT-IDENTICAL to
- *    avx2 — upgrading the dispatch tier never moves a paper figure.
+ *    spreads over two ymm), and its other FP32 entries are AVX2's, so
+ *    avx512 FP32 results are BIT-IDENTICAL to avx2 — upgrading the
+ *    dispatch tier never moves a paper figure.
  *  - Within one target the layer is self-consistent and deterministic:
  *    gemv(W,h)[r] == dot(W.row(r), h) + b[r] bit-for-bit, batched GEMV
  *    equals per-query GEMV bit-for-bit, and row-parallel GEMV partitions
@@ -51,13 +55,12 @@
 
 namespace enmc::tensor::kernels {
 
-/** Dispatch targets, best-first capability order is
- *  Avx512 > Avx2 > Sse2 > Scalar. */
+/** Dispatch targets in capability order Scalar < Avx2 < Avx512; Avx512
+ *  is Avx2 plus the kernels 512-bit lanes win. */
 enum class Target {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx2 = 1,
+    Avx512 = 2,
 };
 
 /**
@@ -122,7 +125,7 @@ const KernelOps &ops();
 
 /**
  * The active dispatch target. First call probes cpuid and honours
- * ENMC_KERNELS=scalar|sse2|avx2|avx512 (unknown or unavailable values
+ * ENMC_KERNELS=scalar|avx2|avx512 (unknown or unavailable values
  * are fatal configuration errors — a forced target never silently falls
  * back).
  */
@@ -135,12 +138,12 @@ Target activeTarget();
  */
 void setActiveTarget(Target t);
 
-/** Targets usable on this CPU, ordered Scalar, [Sse2,] [Avx2,] [Avx512]. */
+/** Targets usable on this CPU, ordered Scalar, [Avx2,] [Avx512]. */
 std::vector<Target> availableTargets();
 
 const char *targetName(Target t);
 
-/** Parse "scalar"/"sse2"/"avx2"/"avx512". Returns false on unknown. */
+/** Parse "scalar"/"avx2"/"avx512". Returns false on unknown. */
 bool targetFromString(std::string_view s, Target *out);
 
 /**
@@ -237,7 +240,6 @@ void gemvQuantInto(const int8_t *w, size_t rows, size_t cols,
 // tests). May return null when the build/CPU lacks the target.
 
 const KernelOps *scalarKernelOps();
-const KernelOps *sse2KernelOps();
 const KernelOps *avx2KernelOps();
 const KernelOps *avx512KernelOps();
 

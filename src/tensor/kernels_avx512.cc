@@ -4,27 +4,31 @@
  * -mfma -ffp-contract=off; dispatch guarantees these run only on CPUs
  * with all of avx512f/avx512bw/avx2/fma.
  *
- * FP32 reductions keep AVX2's EXACT accumulation pattern: one zmm
- * register holds the same 16 accumulator slots AVX2 spreads over two ymm
- * (element i -> slot i mod 16, FMA per slot), the 8-wide tail folds into
- * slots 0-7, and the horizontal reduction is (slots 0-7) + (slots 8-15)
- * run through the same fixed-order hsum — so every FP32 result is
- * bit-identical to the avx2 target, not merely inside the envelope.
- * The win comes from issuing half the FMA/load uops per element (a
- * single 512-bit FMA replaces two 256-bit ones) and from blocking GEMV
- * eight rows deep (32 zmm registers vs. 16 ymm), which amortizes the
- * query-vector loads and overlaps eight serialized horizontal
- * reductions; per-row accumulation order is untouched, so row grouping
- * never changes a value.
+ * The avx512 table is the avx2 table with the entries 512-bit lanes
+ * measurably win overridden (`bench/kernels` medians, archived in
+ * BENCH_kernels.json): the INT4 screener GEMV, `dot` and `axpy`, each
+ * called in runs of its own kind (per row, per candidate, per gradient
+ * row). Every other entry is AVX2's: 512-bit FP32 GEMV and batched GEMV
+ * lost to it at 1K-64K rows and at 4-8 queries, the batch sizes the
+ * trainer and serving paths use; a 512-bit quantizeSpan won on one
+ * reduced-dimension vector but tied on the whole screener weight matrix;
+ * a 512-bit absMax won alone but made quantization, its only caller,
+ * slower when followed by AVX2's quantizeSpan; and the sparse
+ * projection's 8-lane gather gained nothing from EVEX encoding.
+ *
+ * `dot` keeps AVX2's EXACT accumulation pattern: one zmm register holds
+ * the same 16 accumulator slots AVX2 spreads over two ymm (element i ->
+ * slot i mod 16, FMA per slot), the 8-wide tail folds into slots 0-7,
+ * and the horizontal reduction is (slots 0-7) + (slots 8-15) run through
+ * the same fixed-order hsum — so it is bit-identical to the avx2 target,
+ * which keeps the borrowed GEMV rows equal to dot() within the target.
  *
  * The integer MAC widens int8 pairs to int16 in zmm lanes with one
  * 256-bit load per operand (double AVX2's width per step). Integer lane
  * accumulation is exact whatever the lane pattern, so the result is
  * bit-exact vs. the scalar int64 loop for cols up to ~2^20 (each int32
  * lane accumulates at most cols/32 products of magnitude <= 127*254;
- * gemvQuantInto routes wider rows to the scalar path). quantizeSpan
- * runs the same round-half-away-from-zero algebra 16 lanes at a time —
- * per-element ops, bit-exact by construction.
+ * gemvQuantInto routes wider rows to the scalar path).
  */
 
 #include "tensor/kernels.h"
@@ -35,7 +39,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace enmc::tensor::kernels {
 
@@ -60,15 +63,18 @@ upperHalf(__m512 v)
     return _mm512_castps512_ps256(_mm512_shuffle_f32x4(v, v, 0xEE));
 }
 
-/**
- * The shared FP32 dot tail: after the 16-wide main loop, fold the 8-wide
- * remainder into slots 0-7 (AVX2's acc0), reduce as hsum256(lo + hi)
- * exactly like AVX2's hsum256(acc0 + acc1), then the scalar tail — the
- * exact op sequence of dotAvx2 from the point its main loop exits.
- */
-inline float
-dotTail(__m512 acc, const float *a, const float *b, size_t i, size_t n)
+float
+dotAvx512(const float *a, const float *b, size_t n)
 {
+    __m512 acc = _mm512_setzero_ps();
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i),
+                              _mm512_loadu_ps(b + i), acc);
+    // dotAvx2's op sequence from the point its main loop exits: fold the
+    // 8-wide remainder into slots 0-7 (AVX2's acc0), reduce as
+    // hsum256(lo + hi) like AVX2's hsum256(acc0 + acc1), then the
+    // scalar tail.
     __m256 lo = _mm512_castps512_ps256(acc);
     const __m256 hi = upperHalf(acc);
     for (; i + 8 <= n; i += 8)
@@ -78,64 +84,6 @@ dotTail(__m512 acc, const float *a, const float *b, size_t i, size_t n)
     for (; i < n; ++i)
         s += a[i] * b[i];
     return s;
-}
-
-float
-dotAvx512(const float *a, const float *b, size_t n)
-{
-    __m512 acc = _mm512_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i),
-                              _mm512_loadu_ps(b + i), acc);
-    return dotTail(acc, a, b, i, n);
-}
-
-/**
- * Eight row-dots against one shared h: one zmm accumulator per row, the
- * h vector loaded once per 16 elements for all eight rows. Each row's
- * slot pattern and reduction order equal dotAvx512 (== dotAvx2), so
- * results are bit-equal to eight independent dot calls.
- */
-inline void
-dot8RowsAvx512(const float *const *rows, const float *h, size_t n,
-               float *out)
-{
-    __m512 acc[8];
-    for (int j = 0; j < 8; ++j)
-        acc[j] = _mm512_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512 hv = _mm512_loadu_ps(h + i);
-        for (int j = 0; j < 8; ++j)
-            acc[j] = _mm512_fmadd_ps(_mm512_loadu_ps(rows[j] + i), hv,
-                                     acc[j]);
-    }
-    for (int j = 0; j < 8; ++j)
-        out[j] = dotTail(acc[j], rows[j], h, i, n);
-}
-
-/**
- * Four dots sharing the weight-row loads (the batched-GEMV block).
- * Each query's accumulation pattern is identical to dotAvx512, so
- * results are bit-equal to four independent dot calls.
- */
-inline void
-dot4QueriesAvx512(const float *w, const float *const *hs, size_t n,
-                  float *out)
-{
-    __m512 acc[4];
-    for (int q = 0; q < 4; ++q)
-        acc[q] = _mm512_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512 wv = _mm512_loadu_ps(w + i);
-        for (int q = 0; q < 4; ++q)
-            acc[q] = _mm512_fmadd_ps(wv, _mm512_loadu_ps(hs[q] + i),
-                                     acc[q]);
-    }
-    for (int q = 0; q < 4; ++q)
-        out[q] = dotTail(acc[q], w, hs[q], i, n);
 }
 
 void
@@ -150,67 +98,6 @@ axpyAvx512(float alpha, const float *x, float *y, size_t n)
     }
     for (; i < n; ++i)
         y[i] += alpha * x[i];
-}
-
-float
-absMaxAvx512(const float *v, size_t n)
-{
-    __m512 m = _mm512_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        m = _mm512_max_ps(m, _mm512_abs_ps(_mm512_loadu_ps(v + i)));
-    // max is associative/commutative over the abs lattice: any reduction
-    // order gives the same float, so reduce_max is bit-safe.
-    float best = _mm512_reduce_max_ps(m);
-    for (; i < n; ++i)
-        best = std::max(best, std::fabs(v[i]));
-    return best;
-}
-
-void
-gemvRowsAvx512(const float *w, size_t cols, const float *h,
-               const float *bias, float *out, size_t r0, size_t r1)
-{
-    size_t r = r0;
-    for (; r + 8 <= r1; r += 8) {
-        const float *base = w + r * cols;
-        // Prefetch one group ahead (8*cols FLOP of latency to hide it).
-        if (r + 16 <= r1) {
-            const float *p = w + (r + 8) * cols;
-            for (const float *e = p + 8 * cols; p < e; p += 16)
-                _mm_prefetch(reinterpret_cast<const char *>(p),
-                             _MM_HINT_T0);
-        }
-        const float *rows[8];
-        for (size_t j = 0; j < 8; ++j)
-            rows[j] = base + j * cols;
-        float s[8];
-        dot8RowsAvx512(rows, h, cols, s);
-        for (size_t j = 0; j < 8; ++j)
-            out[r + j] = s[j] + (bias ? bias[r + j] : 0.0f);
-    }
-    for (; r < r1; ++r)
-        out[r] = dotAvx512(w + r * cols, h, cols) + (bias ? bias[r] : 0.0f);
-}
-
-void
-gemvBatchRowsAvx512(const float *w, size_t cols, const float *const *hs,
-                    float *const *outs, size_t nq, const float *bias,
-                    size_t r0, size_t r1)
-{
-    for (size_t r = r0; r < r1; ++r) {
-        const float *wr = w + r * cols;
-        const float b = bias ? bias[r] : 0.0f;
-        size_t q = 0;
-        for (; q + 4 <= nq; q += 4) {
-            float s[4];
-            dot4QueriesAvx512(wr, hs + q, cols, s);
-            for (size_t j = 0; j < 4; ++j)
-                outs[q + j][r] = s[j] + b;
-        }
-        for (; q < nq; ++q)
-            outs[q][r] = dotAvx512(wr, hs[q], cols) + b;
-    }
 }
 
 /** Exact horizontal sum of 16 int32 lanes into int64 (lanes cannot
@@ -306,91 +193,20 @@ gemvQuantRowsAvx512(const int8_t *w, size_t cols, const float *scales,
     }
 }
 
-void
-quantizeSpanAvx512(const float *v, size_t n, float inv_scale, int max_level,
-                   int8_t *out)
-{
-    // Round-half-away-from-zero, exactly matching lround(): r = trunc(t);
-    // if |t - r| >= 0.5 then r += copysign(1, t). Same algebra as the
-    // avx2 tier, 16 lanes wide; per-element, so bit-exact regardless.
-    const __m512 vinv = _mm512_set1_ps(inv_scale);
-    const __m512 vmax = _mm512_set1_ps(static_cast<float>(max_level));
-    const __m512 vmin = _mm512_set1_ps(static_cast<float>(-max_level));
-    const __m512 half = _mm512_set1_ps(0.5f);
-    const __m512 one = _mm512_set1_ps(1.0f);
-    const __m512i signbit = _mm512_set1_epi32(
-        static_cast<int32_t>(0x80000000u));
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512 t = _mm512_mul_ps(_mm512_loadu_ps(v + i), vinv);
-        __m512 r = _mm512_roundscale_ps(
-            t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-        const __m512 frac = _mm512_abs_ps(_mm512_sub_ps(t, r));
-        const __mmask16 bump = _mm512_cmp_ps_mask(frac, half, _CMP_GE_OQ);
-        const __m512 signed_one = _mm512_castsi512_ps(_mm512_or_si512(
-            _mm512_castps_si512(one),
-            _mm512_and_si512(signbit, _mm512_castps_si512(t))));
-        r = _mm512_mask_add_ps(r, bump, r, signed_one);
-        r = _mm512_min_ps(_mm512_max_ps(r, vmin), vmax);
-        const __m512i q32 = _mm512_cvttps_epi32(r);
-        // Saturating 32->8 narrow; values are already clamped well
-        // inside int8, so this is a pure width change.
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
-                         _mm512_cvtsepi32_epi8(q32));
-    }
-    for (; i < n; ++i) {
-        const long q = std::lround(v[i] * inv_scale);
-        out[i] = static_cast<int8_t>(
-            std::clamp<long>(q, -max_level, max_level));
-    }
-}
-
-/**
- * Gather-accumulate sum of h[idx[i]] over [begin, end) — the avx2 tier's
- * 8-lane pattern verbatim (EVEX-encoded but the same arithmetic), so the
- * projection stays bit-identical to avx2 as well.
- */
-inline float
-gatherSum(const float *h, const uint32_t *idx, uint32_t begin, uint32_t end)
-{
-    __m256 acc = _mm256_setzero_ps();
-    uint32_t i = begin;
-    for (; i + 8 <= end; i += 8) {
-        const __m256i vi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx + i));
-        acc = _mm256_add_ps(acc, _mm256_i32gather_ps(h, vi, 4));
-    }
-    float s = hsum256(acc);
-    for (; i < end; ++i)
-        s += h[idx[i]];
-    return s;
-}
-
-void
-projectRowsAvx512(const float *h, const uint32_t *plus,
-                  const uint32_t *plus_off, const uint32_t *minus,
-                  const uint32_t *minus_off, float scale, float *y,
-                  size_t r0, size_t r1)
-{
-    for (size_t r = r0; r < r1; ++r) {
-        const float sp = gatherSum(h, plus, plus_off[r], plus_off[r + 1]);
-        const float sm = gatherSum(h, minus, minus_off[r], minus_off[r + 1]);
-        y[r] = (sp - sm) * scale;
-    }
-}
-
-constexpr KernelOps kAvx512Ops = {
-    "avx512",            dotAvx512,          axpyAvx512,
-    absMaxAvx512,        gemvRowsAvx512,     gemvBatchRowsAvx512,
-    gemvQuantRowsAvx512, quantizeSpanAvx512, projectRowsAvx512,
-};
-
 } // namespace
 
 const KernelOps *
 avx512KernelOps()
 {
-    return &kAvx512Ops;
+    static const KernelOps table = [] {
+        KernelOps k = *avx2KernelOps();
+        k.name = "avx512";
+        k.dot = dotAvx512;
+        k.axpy = axpyAvx512;
+        k.gemvQuantRows = gemvQuantRowsAvx512;
+        return k;
+    }();
+    return &table;
 }
 
 } // namespace enmc::tensor::kernels

@@ -57,6 +57,35 @@ TEST(ResilientBackend, FaultsOffMatchesPlainBackendBitExactly)
     EXPECT_EQ(out.faults.injected_words, 0u);
 }
 
+TEST(ResilientBackend, FaultsOffRunJobMatchesPlainBackend)
+{
+    // Slices above the simulated-tile cap are where a separate
+    // extrapolation would show: both backends must time them alike.
+    for (uint64_t categories : {uint64_t{4000000}, uint64_t{10000000}}) {
+        JobSpec spec;
+        spec.categories = categories;
+        spec.hidden = 512;
+        spec.reduced = 128;
+        spec.batch = 1;
+        spec.candidates = categories / 200;
+
+        const TimingResult plain = EnmcBackend{SystemConfig{}}.runJob(spec);
+        const TimingResult res =
+            ResilientBackend{SystemConfig{}}.runJob(spec);
+        EXPECT_TRUE(plain.extrapolated) << "l=" << categories;
+        EXPECT_EQ(res.rank_cycles, plain.rank_cycles) << "l=" << categories;
+        EXPECT_EQ(res.rank.cycles, plain.rank.cycles) << "l=" << categories;
+        EXPECT_EQ(res.seconds, plain.seconds) << "l=" << categories;
+        EXPECT_EQ(res.ranks, plain.ranks) << "l=" << categories;
+        EXPECT_EQ(res.extrapolated, plain.extrapolated)
+            << "l=" << categories;
+        EXPECT_EQ(res.rank.screen_bytes, plain.rank.screen_bytes)
+            << "l=" << categories;
+        EXPECT_EQ(res.rank.dram_reads, plain.rank.dram_reads)
+            << "l=" << categories;
+    }
+}
+
 TEST(ResilientBackend, RetryAddsBackoffCyclesAndClearsErrors)
 {
     const SmallModel m = makeSmallModel();

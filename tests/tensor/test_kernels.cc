@@ -92,6 +92,7 @@ TEST_F(KernelsTest, TargetNamesRoundTrip)
     EXPECT_TRUE(targetFromString("avx512", &dummy));
     EXPECT_EQ(dummy, Target::Avx512);
     EXPECT_FALSE(targetFromString("avx999", &dummy));
+    EXPECT_FALSE(targetFromString("sse2", &dummy)); // tier removed
     EXPECT_FALSE(targetFromString("", &dummy));
 }
 
@@ -107,6 +108,7 @@ using KernelsDeathTest = KernelsTest;
 TEST_F(KernelsDeathTest, ResolveTargetUnknownNameIsFatal)
 {
     EXPECT_DEATH(resolveTarget("avx999"), "ENMC_KERNELS");
+    EXPECT_DEATH(resolveTarget("sse2"), "is not one of"); // tier removed
 }
 
 TEST_F(KernelsDeathTest, ResolveTargetUnavailableTargetIsFatal)
@@ -114,7 +116,7 @@ TEST_F(KernelsDeathTest, ResolveTargetUnavailableTargetIsFatal)
     // Find a target this CPU/build lacks; when every tier is available
     // (full AVX-512 host), the fail-loud path has no reachable input.
     const auto avail = availableTargets();
-    for (Target t : {Target::Sse2, Target::Avx2, Target::Avx512}) {
+    for (Target t : {Target::Avx2, Target::Avx512}) {
         if (std::find(avail.begin(), avail.end(), t) != avail.end())
             continue;
         EXPECT_DEATH(resolveTarget(targetName(t)), "not available");

@@ -191,10 +191,14 @@ TEST_F(TuneDeathTest, WrongVersionIsFatal)
 
 TEST_F(TuneDeathTest, UnknownKernelTargetIsFatal)
 {
-    obs::Json entry = obs::Json::object();
-    entry.set("host", obs::Json::object());
-    entry.set("kernels", "avx999");
-    EXPECT_DEATH(configFromJson(entry), "unknown kernel target");
+    // "sse2" names the removed SSE2 tier: a stale pin fails loudly.
+    for (const char *target : {"avx999", "sse2"}) {
+        obs::Json entry = obs::Json::object();
+        entry.set("host", obs::Json::object());
+        entry.set("kernels", target);
+        EXPECT_DEATH(configFromJson(entry), "unknown kernel target")
+            << target;
+    }
 }
 
 TEST_F(TuneDeathTest, ZeroTileIsFatal)

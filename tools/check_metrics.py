@@ -385,7 +385,7 @@ TUNE_SIM_FIELDS = {
     "prefetch_tiles": True,
     "ddr_cycles": False,
 }
-KERNEL_TARGETS = ("scalar", "sse2", "avx2", "avx512")
+KERNEL_TARGETS = ("scalar", "avx2", "avx512")
 MICROARCH_RE = re.compile(r"^[a-z0-9]+-f\d+m\d+-[a-z0-9]+$")
 
 

@@ -19,7 +19,9 @@ non-zero with a diagnostic on stderr:
   - candidate-cache accounting: lookup/hit/miss/validated/rejected/
     bypass tallies that do not close, a serve.loop hit/miss split that
     disagrees with its latency histograms or exceeds the cache's
-    validated hits, and snapshot-slot publish/swap/epoch bookkeeping.
+    validated hits, and snapshot-slot publish/swap/epoch bookkeeping;
+  - an enmc.tune document whose kernel pin names no dispatch target
+    (the removed sse2 tier).
 
 Run directly (python3 tools/test_check_metrics.py) or via ctest as
 tool_check_metrics_selftest.
@@ -178,6 +180,21 @@ def good_cache_doc():
             },
         },
         "traceEvents": [],
+    }
+
+
+def good_tune_doc():
+    """A minimal enmc.tune document pinning the avx2 kernel target."""
+    return {
+        "schema": "enmc.tune",
+        "schema_version": 1,
+        "tool": "test_check_metrics",
+        "configs": {
+            "intel-f6m106-avx512": {
+                "host": {"gemv_row_chunk": 1024},
+                "kernels": "avx2",
+            },
+        },
     }
 
 
@@ -354,6 +371,13 @@ def main():
         hist(0, [0])
     doc["groups"]["serve.loop"]["scalars"]["servedEpoch"] = scalar(0, 0, 0)
     expect_pass("cache off (timing-only serving) passes", doc)
+
+    expect_pass("tune document with a known kernel pin", good_tune_doc())
+
+    doc = good_tune_doc()
+    doc["configs"]["intel-f6m106-avx512"]["kernels"] = "sse2"
+    expect_fail("tune document pinning the removed sse2 tier", doc,
+                "unknown target 'sse2'")
 
     print("tools/test_check_metrics.py: all checks passed")
     return 0
