@@ -29,7 +29,6 @@
 #include "obs/percentiles.h"
 #include "obs/registry.h"
 #include "runtime/api.h"
-#include "runtime/backend.h"
 #include "serve/loop.h"
 #include "workloads/registry.h"
 
@@ -49,9 +48,20 @@ main(int argc, char **argv)
     }
     if (names.empty())
         names = {"enmc", "tensordimm", "cpu", "cpu-full"};
-    for (const auto &n : names)
-        if (!runtime::BackendRegistry::instance().contains(n))
-            ENMC_FATAL("unknown backend '", n, "'");
+
+    const size_t warmup = 4;
+    const size_t measured = 48;
+    serve::ServeConfig cfg;
+    cfg.max_batch = 1; // single-token low-latency serving
+    cfg.max_delay_us = 0.0;
+    cfg.warmup_requests = warmup;
+    cfg.compute_logits = false; // logits are computed at functional scale
+    // Reject a bad backend name before the calibration pays for a model.
+    for (const auto &n : names) {
+        serve::ServeConfig backend_cfg = cfg;
+        backend_cfg.backend = n;
+        serve::validate(backend_cfg);
+    }
 
     const workloads::Workload wl =
         workloads::findWorkload("Transformer-W268K");
@@ -83,8 +93,6 @@ main(int argc, char **argv)
     // and build one arrival trace every backend replays: single-token
     // requests arriving far apart (the low-latency regime — no
     // co-travellers to batch with), the first few flagged warm-up.
-    const size_t warmup = 4;
-    const size_t measured = 48;
     serve::ArrivalTrace trace;
     for (size_t i = 0; i < warmup + measured; ++i) {
         const auto h = model.sampleHiddenBatch(rng, 1);
@@ -107,12 +115,6 @@ main(int argc, char **argv)
     job.hidden = wl.hidden;
     job.reduced = wl.hidden / 4;
     job.sigmoid = wl.normalization == nn::Normalization::Sigmoid;
-
-    serve::ServeConfig cfg;
-    cfg.max_batch = 1; // single-token low-latency serving
-    cfg.max_delay_us = 0.0;
-    cfg.warmup_requests = warmup;
-    cfg.compute_logits = false; // logits were computed at functional scale
 
     std::printf("\nlatency over %zu requests (+%zu warm-up, excluded), "
                 "per backend (us, incl. %.0f us offload handoff):\n",

@@ -49,6 +49,12 @@ validate(const ClusterConfig &cfg)
                    "latency non-negative");
     if (cfg.node_backend.empty())
         ENMC_FATAL("cluster: node_backend name must be non-empty");
+    // The router times every node through one backend instance, so a
+    // planner there would route all nodes' shards with one shared,
+    // adaptive state; and a cluster cannot nest inside a cluster.
+    if (cfg.node_backend == "auto" || cfg.node_backend == "cluster")
+        ENMC_FATAL("cluster: node_backend '", cfg.node_backend,
+                   "' is a meta-backend; name a fixed node backend");
     if (cfg.kill.scripted() &&
         cfg.kill.node >= static_cast<int64_t>(cfg.nodes))
         ENMC_FATAL("cluster: kill.node (", cfg.kill.node,

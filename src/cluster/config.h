@@ -48,7 +48,8 @@ struct ClusterConfig
     uint64_t nodes = 4;             // ENMC_CLUSTER_NODES
     /** Replicas per label shard (1 = no replication, no failover). */
     uint64_t replication = 2;       // ENMC_CLUSTER_REPLICATION
-    /** Backend registry key every node executes through. */
+    /** Backend registry key every node is timed through; a fixed
+     *  backend, not the "auto" or "cluster" meta-backend. */
     std::string node_backend = "enmc"; // ENMC_CLUSTER_NODE_BACKEND
     /** Default ranks a node slices its shard across in functional runs. */
     uint64_t ranks_per_node = 4;    // ENMC_CLUSTER_RANKS_PER_NODE

@@ -17,7 +17,6 @@ ClusterNode::nodeSystem(uint32_t id, const ClusterConfig &cfg)
 
 ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
     : id_(id),
-      backend_(runtime::createBackend(cfg.node_backend, nodeSystem(id, cfg))),
       system_(nodeSystem(id, cfg)),
       stats_("cluster.node." + std::to_string(id)),
       stat_dispatched_(stats_.addCounter(
@@ -44,17 +43,6 @@ ClusterNode::recordDispatch(uint64_t requests)
 {
     ++stat_dispatched_;
     stat_requests_ += requests;
-}
-
-double
-ClusterNode::shardJobUs(const runtime::JobSpec &job, uint64_t rows,
-                        uint64_t batch, uint64_t candidates)
-{
-    runtime::JobSpec spec = job;
-    spec.categories = rows;
-    spec.batch = batch;
-    spec.candidates = candidates;
-    return jobs_.runJob(spec).seconds * 1e6;
 }
 
 runtime::EnmcSystem::FunctionalResult

@@ -1,23 +1,23 @@
 /**
  * @file
- * One simulated ENMC node of the cluster fabric: the registry backend
- * that times the node's shard jobs (through its `JobMemo`), the node's
- * own `EnmcSystem` for functional shard execution, an alive flag, and
- * per-node observability ("cluster.node.<id>" stat groups — the
- * per-node view the router's scatter/gather accounting is checked
- * against). `kill()` marks a node dead; dead is final.
+ * One simulated ENMC node of the cluster fabric: the node's own
+ * `EnmcSystem` for functional shard execution (seeded per node, so
+ * every node draws its own fault streams), an alive flag, and per-node
+ * observability ("cluster.node.<id>" stat groups — the per-node view
+ * the router's scatter/gather accounting is checked against). A node
+ * does not time its shard jobs: timing depends only on the job shape,
+ * so the router times every node's shards through its one backend and
+ * memo. `kill()` marks a node dead; dead is final.
  */
 
 #ifndef ENMC_CLUSTER_NODE_H
 #define ENMC_CLUSTER_NODE_H
 
-#include <memory>
 #include <vector>
 
 #include "cluster/config.h"
 #include "common/stats.h"
 #include "obs/registry.h"
-#include "runtime/backend.h"
 #include "runtime/system.h"
 
 namespace enmc::cluster {
@@ -35,14 +35,6 @@ class ClusterNode
 
     /** Tally one shard-batch dispatched to this node. */
     void recordDispatch(uint64_t requests);
-
-    /**
-     * Simulated service time (us) of this node running `rows` label rows
-     * of `job` at the given batch/candidate share, through the node's
-     * `JobMemo`.
-     */
-    double shardJobUs(const runtime::JobSpec &job, uint64_t rows,
-                      uint64_t batch, uint64_t candidates);
 
     /**
      * Functional execution of classifier rows
@@ -65,8 +57,6 @@ class ClusterNode
 
     uint32_t id_;
     bool alive_ = true;
-    std::unique_ptr<runtime::Backend> backend_;
-    runtime::JobMemo jobs_{*backend_};
     runtime::EnmcSystem system_;
 
     // Per-node stats ("cluster.node.<id>").

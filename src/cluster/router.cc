@@ -9,9 +9,22 @@
 
 namespace enmc::cluster {
 
+namespace {
+
+const ClusterConfig &
+validated(const ClusterConfig &cfg)
+{
+    validate(cfg);
+    return cfg;
+}
+
+} // namespace
+
 ClusterRouter::ClusterRouter(const ClusterConfig &cfg,
                              const runtime::JobSpec &job)
-    : cfg_(cfg), job_(job), stats_("cluster.router"),
+    : cfg_(validated(cfg)), job_(job),
+      backend_(runtime::createBackend(cfg_.node_backend, cfg_.node)),
+      stats_("cluster.router"),
       stat_batches_(stats_.addCounter("routedBatches",
                                       "batches routed through the cluster")),
       stat_shard_dispatches_(stats_.addCounter(
@@ -29,7 +42,6 @@ ClusterRouter::ClusterRouter(const ClusterConfig &cfg,
           32)),
       stats_registration_(stats_)
 {
-    validate(cfg_);
     ENMC_ASSERT(job_.categories >= 1,
                 "cluster router needs a non-empty label space");
     shards_ = runtime::RankPartitioner::partition(0, job_.categories,
@@ -67,6 +79,17 @@ ClusterRouter::candidateShare(uint64_t candidates) const
 {
     return std::max<uint64_t>(
         1, runtime::RankPartitioner::evenShare(candidates, shards_.size()));
+}
+
+double
+ClusterRouter::shardJobUs(uint64_t rows, uint64_t batch,
+                          uint64_t candidates) const
+{
+    runtime::JobSpec spec = job_;
+    spec.categories = rows;
+    spec.batch = batch;
+    spec.candidates = candidates;
+    return jobs_.runJob(spec).seconds * 1e6;
 }
 
 void
@@ -155,8 +178,7 @@ ClusterRouter::serviceBreakdown(uint64_t batch, uint64_t candidates)
     // no handoff — exactly the single-backend service time, so the
     // 1-node cluster stays bit-identical to the non-cluster path.
     if (nodes_.size() == 1) {
-        t.compute_us = nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
-                                             candidates);
+        t.compute_us = shardJobUs(shards_[0].rows, batch, candidates);
         return t;
     }
 
@@ -175,8 +197,7 @@ ClusterRouter::serviceBreakdown(uint64_t batch, uint64_t candidates)
     std::vector<double> node_us(nodes_.size(), 0.0);
     for (size_t s = 0; s < shards_.size(); ++s) {
         const uint32_t owner = firstLiveReplica(s);
-        node_us[owner] += nodes_[owner]->shardJobUs(job_, shards_[s].rows,
-                                                    batch, cand_share);
+        node_us[owner] += shardJobUs(shards_[s].rows, batch, cand_share);
     }
     t.compute_us = *std::max_element(node_us.begin(), node_us.end());
 

@@ -20,6 +20,13 @@
  * assignment is a pure function of the kill history — replayable
  * bit-for-bit.
  *
+ * **Timing.** The router owns the cluster's one timing backend
+ * (`node_backend` over the shared node system) and one `JobMemo` over
+ * it. A shard job's time depends only on its shape (rows, batch,
+ * candidate share), never on which node runs it: no backend's `runJob`
+ * reads the fault seed, the only field a node's system varies. So each
+ * distinct shard shape is simulated once for the whole cluster.
+ *
  * **Failover.** `ClusterNode::kill()` (scripted or by the operator)
  * marks a node dead, and dead is final: its shards fail over to the
  * next live replica in the chain, and the router dies loudly if a shard
@@ -39,6 +46,7 @@
 #include "common/stats.h"
 #include "obs/registry.h"
 #include "runtime/api.h"
+#include "runtime/backend.h"
 #include "runtime/partition.h"
 
 namespace enmc::cluster {
@@ -95,8 +103,8 @@ class ClusterRouter
      * routeBatch dispatches it to), and one result message per shard.
      * The network and handoff terms are zero on a single-node cluster,
      * which therefore times bit-identically to the plain single-backend
-     * path. Re-derived on every call from the live node set; the node
-     * jobs behind it go through each node's `JobMemo`.
+     * path. Re-derived on every call from the live node set; the shard
+     * jobs behind it go through the router's one `JobMemo`.
      */
     ServiceBreakdown serviceBreakdown(uint64_t batch, uint64_t candidates);
 
@@ -143,11 +151,17 @@ class ClusterRouter
     uint32_t firstLiveReplica(size_t shard) const;
     void killNodeLocked(uint32_t id, double now_us);
     uint64_t candidateShare(uint64_t candidates) const;
+    /** Simulated time (us) of one node running `rows` label rows of
+     *  the job at the given batch/candidate share, through `jobs_`. */
+    double shardJobUs(uint64_t rows, uint64_t batch,
+                      uint64_t candidates) const;
 
     ClusterConfig cfg_;
     runtime::JobSpec job_;
     std::vector<runtime::RowSlice> shards_;
     std::vector<std::unique_ptr<ClusterNode>> nodes_;
+    std::unique_ptr<runtime::Backend> backend_;
+    runtime::JobMemo jobs_{*backend_};
 
     mutable std::mutex mutex_;
     uint64_t batches_routed_ = 0;

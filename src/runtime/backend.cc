@@ -68,16 +68,6 @@ EnmcBackend::EnmcBackend(const SystemConfig &cfg)
 {
 }
 
-BackendCapabilities
-EnmcBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = true;
-    caps.description = "ENMC rank model: INT4 Screener + FP32 Executor "
-                       "with on-the-fly threshold FILTER (paper Fig. 7)";
-    return caps;
-}
-
 arch::RankResult
 EnmcBackend::runSlice(const arch::RankTask &task) const
 {
@@ -111,16 +101,6 @@ NmpBackend::NmpBackend(std::string name, const nmp::EngineConfig &engine,
 {
 }
 
-BackendCapabilities
-NmpBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = false;
-    caps.description = std::string(nmp::engineKindName(engine_.kind)) +
-                       " rank-level NMP baseline (paper Table 4)";
-    return caps;
-}
-
 arch::RankResult
 NmpBackend::runSlice(const arch::RankTask &task) const
 {
@@ -134,18 +114,6 @@ CpuBackend::CpuBackend(const SystemConfig &cfg, bool screening,
                        const nmp::CpuConfig &cpu)
     : Backend(cfg), screening_(screening), cpu_(cpu)
 {
-}
-
-BackendCapabilities
-CpuBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = false;
-    caps.description =
-        screening_
-            ? "host CPU roofline with approximate screening (Fig. 5)"
-            : "host CPU roofline, full classification (the baseline)";
-    return caps;
 }
 
 double

@@ -35,16 +35,6 @@
 
 namespace enmc::runtime {
 
-/** What a backend can do (capability negotiation for callers). */
-struct BackendCapabilities
-{
-    /** Cycle-level (or analytic) timing of a rank slice. */
-    bool timing = true;
-    /** Bit-accurate functional slices (tensor payloads honoured). */
-    bool functional = false;
-    std::string description;
-};
-
 /** One execution target behind the uniform device interface. */
 class Backend
 {
@@ -54,14 +44,13 @@ class Backend
     /** Registry key ("enmc", "tensordimm", "cpu", ...). */
     virtual std::string name() const = 0;
 
-    virtual BackendCapabilities capabilities() const = 0;
-
     /** Timing execution of one rank slice (payloads ignored/absent). */
     virtual arch::RankResult runSlice(const arch::RankTask &task) const = 0;
 
     /**
      * Functional execution of one rank slice (task carries tensor
-     * payloads). Panics unless `capabilities().functional`.
+     * payloads). Panics unless the backend overrides it: only the ENMC
+     * rank model (and its resilient wrapper) executes functionally.
      */
     virtual arch::RankResult
     runFunctionalSlice(const arch::RankTask &task) const;
@@ -89,7 +78,6 @@ class EnmcBackend : public Backend
     explicit EnmcBackend(const SystemConfig &cfg);
 
     std::string name() const override { return "enmc"; }
-    BackendCapabilities capabilities() const override;
     arch::RankResult runSlice(const arch::RankTask &task) const override;
     arch::RankResult
     runFunctionalSlice(const arch::RankTask &task) const override;
@@ -104,7 +92,6 @@ class NmpBackend : public Backend
                const SystemConfig &cfg);
 
     std::string name() const override { return name_; }
-    BackendCapabilities capabilities() const override;
     arch::RankResult runSlice(const arch::RankTask &task) const override;
 
     const nmp::EngineConfig &engineConfig() const { return engine_; }
@@ -129,7 +116,6 @@ class CpuBackend : public Backend
     {
         return screening_ ? "cpu" : "cpu-full";
     }
-    BackendCapabilities capabilities() const override;
     arch::RankResult runSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
 

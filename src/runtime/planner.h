@@ -237,7 +237,8 @@ class AutoBackend : public Backend
                          PlannerConfig plan = plannerConfigFromEnv());
 
     std::string name() const override { return "auto"; }
-    BackendCapabilities capabilities() const override;
+    /** Panics: the planner bins whole jobs, so it is reached through
+     *  runJob only. */
     arch::RankResult runSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
 

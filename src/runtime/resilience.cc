@@ -23,17 +23,6 @@ ResilientBackend::ResilientBackend(const SystemConfig &cfg)
 {
 }
 
-BackendCapabilities
-ResilientBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = true;
-    caps.description = "ENMC rank model with SECDED-driven resilience: "
-                       "slice retry with backoff, stuck-rank blacklisting "
-                       "and approximate-logit degradation";
-    return caps;
-}
-
 std::vector<uint32_t>
 ResilientBackend::healthyRanks() const
 {

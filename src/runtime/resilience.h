@@ -41,7 +41,6 @@ class ResilientBackend : public Backend
     explicit ResilientBackend(const SystemConfig &cfg);
 
     std::string name() const override { return "enmc-resilient"; }
-    BackendCapabilities capabilities() const override;
 
     /** Timing slice with retry accounting (see runFunctionalSlice). */
     arch::RankResult runSlice(const arch::RankTask &task) const override;

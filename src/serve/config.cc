@@ -2,6 +2,7 @@
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "runtime/backend.h"
 
 namespace enmc::serve {
 
@@ -40,8 +41,11 @@ validate(const ServeConfig &cfg)
         ENMC_FATAL("serve: backend name must be non-empty");
     if (cfg.backend == "cluster")
         cluster::validate(cfg.cluster);
-    if (cfg.backend == "auto")
+    else if (cfg.backend == "auto")
         runtime::validate(cfg.planner);
+    else if (!runtime::BackendRegistry::instance().contains(cfg.backend))
+        ENMC_FATAL("serve: unknown backend '", cfg.backend,
+                   "' (not \"cluster\", \"auto\" or a registered name)");
 }
 
 } // namespace enmc::serve

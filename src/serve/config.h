@@ -78,7 +78,10 @@ struct ServeConfig
  */
 ServeConfig serveConfigFromEnv(ServeConfig base = ServeConfig{});
 
-/** Fatal unless the configuration is self-consistent. */
+/**
+ * Fatal unless the configuration is self-consistent. The one check of a
+ * serve backend name: `"cluster"`, `"auto"` or a registered backend.
+ */
 void validate(const ServeConfig &cfg);
 
 } // namespace enmc::serve

@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "cluster/backend.h"
 #include "common/logging.h"
 
 namespace enmc::serve {
@@ -157,7 +156,7 @@ ClusterDispatcher::serviceUs(uint64_t batch, uint64_t candidates,
                              uint64_t /*screened*/)
 {
     // No memo here: the router re-times every batch over the live nodes
-    // (their own JobMemos make that cheap), so a node kill re-times the
+    // (its one JobMemo makes that cheap), so a node kill re-times the
     // batches after it instead of serving frozen numbers.
     // `screened` is ignored, conservatively: cache hits skip screening
     // on every node, but the fabric is timed as if each item screened.
@@ -168,9 +167,6 @@ std::unique_ptr<Dispatcher>
 makeDispatcher(const ServeConfig &cfg, const runtime::JobSpec &job,
                const runtime::SystemConfig &sys)
 {
-    // Keep the registry complete either way: "cluster" stays resolvable
-    // for consumers that go through createBackend().
-    cluster::registerClusterBackend();
     if (cfg.backend == "cluster") {
         cluster::ClusterConfig cc = cfg.cluster;
         cc.node = sys;

@@ -113,8 +113,8 @@ class ServeLoop
      * Simulated service time (us) of a batch: per-offload handoff plus
      * the dispatcher's batched service latency. Deterministic given the
      * dispatch history (each backend's `runJob` goes through a
-     * `runtime::JobMemo`; the cluster re-times after every health
-     * transition).
+     * `runtime::JobMemo`; the cluster router re-times every batch over
+     * the live nodes through its one memo).
      */
     double batchServiceUs(uint64_t batch, uint64_t candidates);
 

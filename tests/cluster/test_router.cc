@@ -5,15 +5,15 @@
  * chained-declustering replica placement, final node kills, routing to
  * each shard's first live replica (the owner the clock charges),
  * scripted kills + failover, and the live-set scatter/compute/gather
- * service-time model.
+ * service-time model through the router's one timing memo.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "cluster/backend.h"
 #include "cluster/router.h"
+#include "obs/registry.h"
 
 namespace enmc::cluster {
 namespace {
@@ -112,6 +112,19 @@ TEST(ClusterConfigDeath, RejectsInconsistentShapes)
     bad = config();
     bad.kill.node = 4; // not a node id of a 4-node cluster
     EXPECT_DEATH(validate(bad), "kill");
+}
+
+TEST(ClusterConfigDeath, RejectsMetaNodeBackends)
+{
+    // The router times every node through one backend: a planner there
+    // would route all nodes with one adaptive state, and a cluster
+    // cannot nest inside a cluster.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *meta : {"auto", "cluster"}) {
+        ClusterConfig bad = config();
+        bad.node_backend = meta;
+        EXPECT_DEATH(validate(bad), "meta-backend") << meta;
+    }
 }
 
 // --- router: shard map + replica placement ------------------------------
@@ -216,11 +229,43 @@ TEST(Router, RoutedOwnersAreTheTimedOwners)
         EXPECT_EQ(node2.value(), before + 2) << "batch " << i;
     }
 
-    const uint64_t share = runtime::RankPartitioner::evenShare(64, 4);
-    const double node2_us =
-        router.node(2).shardJobUs(spec, router.shards()[1].rows, 8, share) +
-        router.node(2).shardJobUs(spec, router.shards()[2].rows, 8, share);
-    EXPECT_DOUBLE_EQ(router.serviceBreakdown(8, 64).compute_us, node2_us);
+    const auto backend = runtime::createBackend("enmc", router.config().node);
+    const auto shard_us = [&](size_t s) {
+        runtime::JobSpec shard = spec;
+        shard.categories = router.shards()[s].rows;
+        shard.batch = 8;
+        shard.candidates = runtime::RankPartitioner::evenShare(64, 4);
+        return backend->runJob(shard).seconds * 1e6;
+    };
+    EXPECT_DOUBLE_EQ(router.serviceBreakdown(8, 64).compute_us,
+                     shard_us(1) + shard_us(2));
+}
+
+uint64_t
+timingRuns()
+{
+    return obs::StatRegistry::instance()
+        .snapshot()
+        .at("runtime.system")
+        .counter("timingRuns")
+        .value();
+}
+
+TEST(Router, TimesEachDistinctShardJobOnce)
+{
+    // Four equal shards, two replicas each: every node's shard job of a
+    // batch size has one shape, so the router's one memo simulates it
+    // once, and a failover re-times from the memo.
+    ClusterRouter router(config(4, 2), job());
+    const uint64_t before = timingRuns();
+    for (uint64_t batch = 1; batch <= 4; ++batch)
+        router.serviceUs(batch, 64);
+    EXPECT_EQ(timingRuns(), before + 4);
+
+    router.killNode(1);
+    for (uint64_t batch = 1; batch <= 4; ++batch)
+        router.serviceUs(batch, 64);
+    EXPECT_EQ(timingRuns(), before + 4);
 }
 
 TEST(Router, ScriptedKillFiresAtTheConfiguredBatch)
@@ -286,23 +331,6 @@ TEST(Router, ServiceTimeRetimesAfterAKill)
     // Node 0's shard fails over to node 1, which now runs two shards
     // serially: the batch must get slower, not serve a frozen memo.
     EXPECT_GT(after, before);
-}
-
-// --- the "cluster" registry backend -------------------------------------
-
-TEST(ClusterBackend, RegistersAndTimesJobs)
-{
-    registerClusterBackend();
-    ASSERT_TRUE(runtime::BackendRegistry::instance().contains("cluster"));
-    auto backend = runtime::createBackend("cluster");
-    EXPECT_EQ(backend->name(), "cluster");
-    EXPECT_FALSE(backend->capabilities().functional);
-    runtime::JobSpec spec = job();
-    spec.batch = 8;
-    spec.candidates = 64;
-    const runtime::TimingResult r = backend->runJob(spec);
-    EXPECT_GT(r.seconds, 0.0);
-    EXPECT_GT(r.ranks, 0u);
 }
 
 } // namespace

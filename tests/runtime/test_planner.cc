@@ -105,8 +105,17 @@ TEST(AutoBackendRegistry, AutoResolvesFromTheRegistryByName)
     const auto backend = createBackend("auto");
     ASSERT_NE(backend, nullptr);
     EXPECT_EQ(backend->name(), "auto");
-    EXPECT_TRUE(backend->capabilities().timing);
-    EXPECT_FALSE(backend->capabilities().functional);
+}
+
+TEST(AutoBackendRegistry, RunSliceDiesNamingRunJob)
+{
+    // The planner bins whole jobs; a bare slice has no plan to follow.
+    const auto backend = createBackend("auto");
+    arch::RankTask task;
+    task.categories = 16;
+    task.hidden = 32;
+    task.reduced = 8;
+    EXPECT_DEATH((void)backend->runSlice(task), "use runJob");
 }
 
 // ---------------------------------------------------------------- purity

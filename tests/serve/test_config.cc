@@ -158,5 +158,17 @@ TEST(ServeConfigEnvDeath, ClusterShapeCheckedWhenClusterSelected)
     EXPECT_DEATH(serveConfigFromEnv(), "replication.*exceeds node count");
 }
 
+TEST(ServeConfigEnvDeath, BackendIsClusterAutoOrRegistered)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EnvSandbox env;
+    for (const char *name : {"cluster", "auto", "tensordimm"}) {
+        env.set("ENMC_SERVE_BACKEND", name);
+        EXPECT_EQ(serveConfigFromEnv().backend, name);
+    }
+    env.set("ENMC_SERVE_BACKEND", "not-a-backend");
+    EXPECT_DEATH(serveConfigFromEnv(), "unknown backend 'not-a-backend'");
+}
+
 } // namespace
 } // namespace enmc::serve
