@@ -1,6 +1,10 @@
 #include "nn/sgd.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "common/thread_pool.h"
+#include "common/units.h"
 
 namespace enmc::nn {
 
@@ -25,10 +29,15 @@ SgdOptimizer::step(size_t slot, std::span<float> param,
                 "optimizer size mismatch");
     const float mu = static_cast<float>(cfg_.momentum);
     const float lr = static_cast<float>(lr_);
-    for (size_t i = 0; i < v.size(); ++i) {
-        v[i] = mu * v[i] + grad[i];
-        param[i] -= lr * v[i];
-    }
+    // Element-wise, so fixed slices on the pool give the serial result.
+    constexpr size_t kSlice = size_t{1} << 16;
+    parallelFor(0, ceilDiv(v.size(), kSlice), 0, [&](size_t s) {
+        const size_t end = std::min(v.size(), (s + 1) * kSlice);
+        for (size_t i = s * kSlice; i < end; ++i) {
+            v[i] = mu * v[i] + grad[i];
+            param[i] -= lr * v[i];
+        }
+    });
 }
 
 void

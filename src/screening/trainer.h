@@ -57,7 +57,17 @@ struct TrainReport
     bool converged_early = false;
 };
 
-/** Distills `teacher` into `screener` over the given hidden vectors. */
+/**
+ * Distills `teacher` into `screener` over the given hidden vectors.
+ *
+ * Samples are evaluated in blocks of 16 through the batched GEMV, so the
+ * l x d teacher streams once per query tile rather than once per sample.
+ * The gradient and the normal equations are then applied with the rows
+ * (or columns) outside and the block's samples inside, in fixed
+ * 1024-wide chunks on the global pool. Every element keeps the sample
+ * order of a per-sample loop, so a trained screener is byte-identical
+ * for any block size and any ENMC_THREADS.
+ */
 class Trainer
 {
   public:
@@ -76,11 +86,6 @@ class Trainer
     double evaluateMse(const std::vector<tensor::Vector> &samples) const;
 
   private:
-    /** Accumulate gradients for one sample; returns its squared error. */
-    double accumulateSample(const tensor::Vector &h,
-                            tensor::Matrix &grad_w,
-                            tensor::Vector &grad_b) const;
-
     /** Set screener parameters to the closed-form ridge solution. */
     void closedFormInit(const std::vector<tensor::Vector> &train_h);
 

@@ -1,8 +1,12 @@
 #include "tensor/solve.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
+#include "common/units.h"
 
 namespace enmc::tensor {
 
@@ -57,15 +61,51 @@ spdSolve(const Matrix &a, const Matrix &b)
 {
     ENMC_ASSERT(a.rows() == b.rows(), "spdSolve: size mismatch");
     const Matrix l = cholesky(a);
-    Matrix x(b.rows(), b.cols());
-    Vector col(b.rows());
-    for (size_t j = 0; j < b.cols(); ++j) {
-        for (size_t i = 0; i < b.rows(); ++i)
-            col[i] = b(i, j);
-        const Vector sol = choleskySolve(l, col);
-        for (size_t i = 0; i < b.rows(); ++i)
-            x(i, j) = sol[i];
-    }
+    const size_t n = b.rows();
+    const size_t cols = b.cols();
+    Matrix x(n, cols);
+    // Solve kSolveBlock right-hand sides at a time, straight from b's
+    // rows, with the columns innermost: each column sees choleskySolve's
+    // exact double-precision operation order. The fixed-width block (the
+    // last one zero-padded) holds y, then x; its constant trip count is
+    // what lets -O2 vectorize the column loops.
+    constexpr size_t kSolveBlock = 128;
+    parallelFor(0, ceilDiv(cols, kSolveBlock), 0, [&](size_t blk) {
+        const size_t j0 = blk * kSolveBlock;
+        const size_t m = std::min(cols, j0 + kSolveBlock) - j0;
+        std::vector<float> y(n * kSolveBlock, 0.0f);
+        double sum[kSolveBlock] = {};
+        // Forward substitution: L y = b.
+        for (size_t i = 0; i < n; ++i) {
+            std::fill(sum, sum + kSolveBlock, 0.0);
+            std::copy_n(b.data() + i * cols + j0, m, sum);
+            for (size_t k = 0; k < i; ++k) {
+                const double lik = l(i, k);
+                const float *yk = y.data() + k * kSolveBlock;
+                for (size_t j = 0; j < kSolveBlock; ++j)
+                    sum[j] -= lik * yk[j];
+            }
+            const double lii = l(i, i);
+            float *yi = y.data() + i * kSolveBlock;
+            for (size_t j = 0; j < kSolveBlock; ++j)
+                yi[j] = static_cast<float>(sum[j] / lii);
+        }
+        // Back substitution in place: Lᵀ x = y.
+        for (size_t ii = n; ii-- > 0;) {
+            float *xi = y.data() + ii * kSolveBlock;
+            std::copy_n(xi, kSolveBlock, sum);
+            for (size_t k = ii + 1; k < n; ++k) {
+                const double lki = l(k, ii);
+                const float *xk = y.data() + k * kSolveBlock;
+                for (size_t j = 0; j < kSolveBlock; ++j)
+                    sum[j] -= lki * xk[j];
+            }
+            const double lii = l(ii, ii);
+            for (size_t j = 0; j < kSolveBlock; ++j)
+                xi[j] = static_cast<float>(sum[j] / lii);
+            std::copy_n(xi, m, x.data() + ii * cols + j0);
+        }
+    });
     return x;
 }
 

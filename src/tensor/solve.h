@@ -22,7 +22,9 @@ Vector choleskySolve(const Matrix &l, std::span<const float> b);
 
 /**
  * Solve A X = B for X where A is SPD (k x k) and B is k x n, returning X
- * (k x n). Used as X = A⁻¹ B.
+ * (k x n). Used as X = A⁻¹ B. Each column of X is bit-equal to
+ * choleskySolve(cholesky(A), that column of B); column blocks run on the
+ * shared pool.
  */
 Matrix spdSolve(const Matrix &a, const Matrix &b);
 

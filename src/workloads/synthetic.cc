@@ -1,5 +1,6 @@
 #include "workloads/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -40,20 +41,29 @@ makeWeights(const SyntheticConfig &cfg, Rng &rng)
         sigma[j] = static_cast<float>(
             std::pow(static_cast<double>(j + 1), -cfg.spectrum_decay));
 
+    // Each row draws its d coefficients, then its d noise values, and sums
+    // every output over j in order. With j outside, the d sums are
+    // independent instead of one dependent chain per output.
     tensor::Matrix w(l, d);
     const float noise = static_cast<float>(cfg.residual_noise);
     std::vector<float> g(d);
+    std::vector<float> eps(d);
+    std::vector<double> acc(d);
     for (size_t r = 0; r < l; ++r) {
         for (size_t j = 0; j < d; ++j)
             g[j] = static_cast<float>(rng.normal()) * sigma[j];
-        float *row = w.row(r).data();
-        for (size_t i = 0; i < d; ++i) {
-            double acc = 0.0;
-            for (size_t j = 0; j < d; ++j)
-                acc += static_cast<double>(g[j]) * v(j, i);
-            row[i] = static_cast<float>(acc) +
-                     noise * static_cast<float>(rng.normal());
+        for (size_t i = 0; i < d; ++i)
+            eps[i] = static_cast<float>(rng.normal());
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (size_t j = 0; j < d; ++j) {
+            const double gj = g[j];
+            const float *vj = v.row(j).data();
+            for (size_t i = 0; i < d; ++i)
+                acc[i] += gj * vj[i];
         }
+        float *row = w.row(r).data();
+        for (size_t i = 0; i < d; ++i)
+            row[i] = static_cast<float>(acc[i]) + noise * eps[i];
     }
     return w;
 }

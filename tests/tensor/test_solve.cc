@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "tensor/ops.h"
 #include "tensor/solve.h"
@@ -85,6 +87,32 @@ TEST(SpdSolve, IdentitySolvesToRhs)
     const Matrix x = spdSolve(eye, b);
     EXPECT_FLOAT_EQ(x(0, 0), 1.0f);
     EXPECT_FLOAT_EQ(x(3, 1), -2.0f);
+}
+
+TEST(SpdSolve, MatchesPerColumnCholeskySolveBitForBit)
+{
+    // Enough columns for several solve blocks plus a short last one.
+    const size_t k = 12;
+    const size_t cols = 1000;
+    const Matrix a = randomSpd(k, 17);
+    Rng rng(19);
+    Matrix b(k, cols);
+    for (size_t i = 0; i < k; ++i)
+        for (size_t j = 0; j < cols; ++j)
+            b(i, j) = static_cast<float>(rng.normal());
+    const Matrix x = spdSolve(a, b);
+    const Matrix l = cholesky(a);
+    Vector col(k);
+    for (size_t j = 0; j < cols; ++j) {
+        for (size_t i = 0; i < k; ++i)
+            col[i] = b(i, j);
+        const Vector want = choleskySolve(l, col);
+        for (size_t i = 0; i < k; ++i) {
+            const float got = x(i, j);
+            ASSERT_EQ(std::memcmp(&got, &want[i], sizeof(float)), 0)
+                << "row " << i << " column " << j;
+        }
+    }
 }
 
 TEST(CholeskyDeathTest, RejectsIndefinite)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "tensor/ops.h"
 #include "tensor/svd.h"
 #include "tensor/topk.h"
@@ -142,6 +145,70 @@ TEST(Synthetic, SigmoidNormalizationPropagates)
     SyntheticModel model(cfg);
     EXPECT_EQ(model.classifier().normalization(),
               nn::Normalization::Sigmoid);
+}
+
+/**
+ * The generator's original row loop (i outer, j inner, one noise draw per
+ * output) and the bias draws that follow it, from the model's seed.
+ */
+std::pair<tensor::Matrix, tensor::Vector>
+referenceParameters(const SyntheticConfig &cfg)
+{
+    const size_t l = cfg.categories;
+    const size_t d = cfg.hidden;
+    Rng rng(cfg.seed);
+    tensor::Matrix v(d, d);
+    for (size_t j = 0; j < d; ++j) {
+        double nrm = 0.0;
+        for (size_t i = 0; i < d; ++i) {
+            const double g = rng.normal();
+            v(j, i) = static_cast<float>(g);
+            nrm += g * g;
+        }
+        const float inv = static_cast<float>(1.0 / std::sqrt(nrm));
+        for (size_t i = 0; i < d; ++i)
+            v(j, i) *= inv;
+    }
+    std::vector<float> sigma(d);
+    for (size_t j = 0; j < d; ++j)
+        sigma[j] = static_cast<float>(
+            std::pow(static_cast<double>(j + 1), -cfg.spectrum_decay));
+    tensor::Matrix w(l, d);
+    const float noise = static_cast<float>(cfg.residual_noise);
+    std::vector<float> g(d);
+    for (size_t r = 0; r < l; ++r) {
+        for (size_t j = 0; j < d; ++j)
+            g[j] = static_cast<float>(rng.normal()) * sigma[j];
+        for (size_t i = 0; i < d; ++i) {
+            double acc = 0.0;
+            for (size_t j = 0; j < d; ++j)
+                acc += static_cast<double>(g[j]) * v(j, i);
+            w(r, i) = static_cast<float>(acc) +
+                      noise * static_cast<float>(rng.normal());
+        }
+    }
+    tensor::Vector b(l);
+    for (size_t i = 0; i < l; ++i)
+        b[i] = static_cast<float>(
+            -0.1 * std::log(static_cast<double>(i + 2)) +
+            0.05 * rng.normal());
+    return {std::move(w), std::move(b)};
+}
+
+TEST(Synthetic, WeightsMatchRowByRowReference)
+{
+    for (const size_t d : {32u, 37u}) {
+        SCOPED_TRACE(d);
+        const SyntheticConfig cfg = config(700, d);
+        const SyntheticModel model(cfg);
+        const auto [w, b] = referenceParameters(cfg);
+        const tensor::Matrix &got = model.classifier().weights();
+        ASSERT_EQ(got.size(), w.size());
+        EXPECT_EQ(std::memcmp(got.data(), w.data(), w.bytes()), 0);
+        EXPECT_EQ(std::memcmp(model.classifier().bias().data(), b.data(),
+                              b.size() * sizeof(float)),
+                  0);
+    }
 }
 
 TEST(SyntheticDeathTest, TooSmallRejected)
