@@ -23,6 +23,16 @@ ScalarStat::sample(double v)
 }
 
 void
+ScalarStat::sample(double v, uint64_t n)
+{
+    if (n == 0)
+        return;
+    sample(v);
+    sum_ += v * static_cast<double>(n - 1);
+    count_ += n - 1;
+}
+
+void
 ScalarStat::reset()
 {
     count_ = 0;

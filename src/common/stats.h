@@ -40,6 +40,14 @@ class ScalarStat
 {
   public:
     void sample(double v);
+    /**
+     * `n` samples of `v` at once (a no-op for n == 0). Bit-identical to
+     * `n` calls of sample(v) while `v`, `v * n` and the running sum are
+     * integers below 2^53, where every double addition is exact: queue
+     * occupancies and cycle counts are. Other values may round
+     * differently.
+     */
+    void sample(double v, uint64_t n);
     void reset();
 
     /** Fold another accumulator's samples into this one. */

@@ -156,6 +156,50 @@ Controller::serviceRefresh()
     return false;
 }
 
+Cycles
+Controller::refreshIssueCycle(uint32_t r) const
+{
+    // serviceRefresh()'s order of business: precharge every open bank,
+    // then REF once the whole rank is idle.
+    AddrVec vec;
+    vec.rank = r;
+    if (channel_.rankAllPrecharged(r))
+        return channel_.earliestIssue(Cmd::Ref, vec);
+    Cycles at = Channel::kNever;
+    for (uint32_t bg = 0; bg < org_.bankgroups; ++bg) {
+        for (uint32_t b = 0; b < org_.banks; ++b) {
+            vec.bankgroup = bg;
+            vec.bank = b;
+            at = std::min(at, channel_.earliestIssue(Cmd::Pre, vec));
+        }
+    }
+    return at;
+}
+
+Cycles
+Controller::nextEventCycle() const
+{
+    Cycles next = inflight_.empty() ? Channel::kNever : inflight_.top().at;
+    if (!queue_.empty())
+        next = std::min(next, wake_at_);
+    if (cfg_.refresh_enabled) {
+        for (uint32_t r = 0; r < org_.ranks; ++r) {
+            next = std::min(next, refresh_pending_[r] ? refreshIssueCycle(r)
+                                                      : next_refresh_[r]);
+        }
+    }
+    return std::max(next, now_ + 1);
+}
+
+void
+Controller::skipTo(Cycles c)
+{
+    ENMC_ASSERT(c >= now_ && c < nextEventCycle(), "skipTo(", c,
+                ") from cycle ", now_, " passes the next event");
+    queue_occupancy_.sample(static_cast<double>(queue_.size()), c - now_);
+    now_ = c;
+}
+
 bool
 Controller::trySchedule()
 {

@@ -53,6 +53,26 @@ class Controller
     /** Advance one command-clock cycle. */
     void tick();
 
+    /**
+     * The first cycle after now() whose tick() may do more than sample
+     * the queue occupancy: the earliest of an in-flight completion, the
+     * scheduler's wake-up cycle (with requests queued), each rank's
+     * refresh deadline and a pending refresh's earliest PRE or REF.
+     * Every tick() before it finds nothing due, because each bound is a
+     * monotone `now >= bound` test on state that only an issue, an
+     * enqueue or a completion changes. Channel::kNever when none is due
+     * (an idle controller with refresh off). Valid until the next
+     * enqueue() or tick().
+     */
+    Cycles nextEventCycle() const;
+
+    /**
+     * Advance the clock to cycle `c` exactly as `c - now()` ticks would
+     * when none of them acts: each skipped cycle samples the queue
+     * occupancy once. Requires now() <= c < nextEventCycle().
+     */
+    void skipTo(Cycles c);
+
     /** Current cycle. */
     Cycles now() const { return now_; }
 
@@ -130,6 +150,8 @@ class Controller
 
     /** @return true if a refresh-related command used this cycle's slot. */
     bool serviceRefresh();
+    /** Earliest cycle rank `r`'s pending refresh can issue a PRE or REF. */
+    Cycles refreshIssueCycle(uint32_t r) const;
     bool trySchedule();
     /** The command `e` needs next: RD/WR on a row hit, else PRE or ACT. */
     Cmd nextCommand(const Entry &e) const;

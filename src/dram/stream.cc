@@ -22,11 +22,12 @@ StreamTransfer::start(Addr base, uint64_t bytes, ReqType type,
     total_lines_ = ceilDiv(bytes, line_bytes);
 }
 
-void
+bool
 StreamTransfer::pump(Controller &ctrl)
 {
     if (!started_)
-        return;
+        return false;
+    const uint64_t before = issued_;
     // Stop at a full queue before building a request it would reject.
     while (issued_ < total_lines_ &&
            ctrl.queueOccupancy() < ctrl.queueDepth()) {
@@ -40,6 +41,7 @@ StreamTransfer::pump(Controller &ctrl)
             break;
         ++issued_;
     }
+    return issued_ != before;
 }
 
 } // namespace enmc::dram

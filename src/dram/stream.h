@@ -30,8 +30,13 @@ class StreamTransfer
                uint64_t line_bytes = 64,
                fault::Protection prot = fault::Protection::Strong);
 
-    /** Issue as many pending line requests as the queue accepts. */
-    void pump(Controller &ctrl);
+    /**
+     * Issue as many pending line requests as the queue accepts.
+     * @return true if any request was enqueued. Either way the queue is
+     * then full or every line issued, so another pump() enqueues nothing
+     * until the controller issues a column command.
+     */
+    bool pump(Controller &ctrl);
 
     /** All lines issued and all completions observed? */
     bool done() const { return started_ && completed_ == total_lines_; }

@@ -1,6 +1,7 @@
 #include "enmc/rank.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
@@ -134,6 +135,7 @@ EnmcRank::sequencerTick()
         return;
     // One generated tile per cycle, bounded by the prefetch window.
     if (startTileOp(seq_next_tile_, true, true)) {
+        acted_ = true;
         result_.generated_instructions += 3; // LDR + MUL_ADD + FILTER
         if (++seq_next_tile_ == seq_tiles_)
             sequencer_active_ = false;
@@ -184,7 +186,7 @@ EnmcRank::instructionDelivered()
 }
 
 void
-EnmcRank::hostIssue(const Program &prog)
+EnmcRank::hostIssue()
 {
     // The host memory controller issues at most one PRECHARGE-tunneled
     // instruction per command cycle; payload-carrying instructions occupy
@@ -193,11 +195,12 @@ EnmcRank::hostIssue(const Program &prog)
         --host_stall_;
         return;
     }
-    if (host_pc_ >= prog.size() || fifo_.size() >= cfg_.inst_fifo_depth)
+    if (host_pc_ >= prog_->size() || fifo_.size() >= cfg_.inst_fifo_depth)
         return;
+    acted_ = true; // even a failed attempt draws from the C/A fault stream
     if (!instructionDelivered())
         return; // delivery failed; the host re-sends next cycle
-    const Instruction &inst = prog[host_pc_++];
+    const Instruction &inst = (*prog_)[host_pc_++];
     if (inst.has_payload)
         host_stall_ = dram_->channel().timing().tbl;
     fifo_.push_back(inst);
@@ -368,6 +371,7 @@ EnmcRank::dispatch()
     if (fifo_.empty())
         return;
     if (dispatchOne(fifo_.front())) {
+        acted_ = true;
         ++result_.instructions;
         fifo_.pop_front();
     }
@@ -378,7 +382,8 @@ EnmcRank::filterTileFunctional(const TileOp &op)
 {
     const RankTask &task = *task_;
     const uint64_t tile_rows = statusReg(StatusReg::TileRows);
-    const uint64_t row0 = op.tile * tile_rows;
+    const uint64_t row0 = op.tile * tile_rows;  // slice-local
+    const uint64_t src0 = task.row_offset + row0; // payload row
 
     // With a fault injector armed, the tile's weights pass through the
     // fault + ECC model once per DRAM fetch (they are read once and reused
@@ -392,14 +397,14 @@ EnmcRank::filterTileFunctional(const TileOp &op)
         scratch.rows = op.rows;
         scratch.cols = cols;
         scratch.bits = task.screen_weights->bits;
-        const auto first = task.screen_weights->values.begin() + row0 * cols;
+        const auto first = task.screen_weights->values.begin() + src0 * cols;
         scratch.values.assign(first, first + op.rows * cols);
-        const auto sfirst = task.screen_weights->scales.begin() + row0;
+        const auto sfirst = task.screen_weights->scales.begin() + src0;
         scratch.scales.assign(sfirst, sfirst + op.rows);
         scratch.scheme = task.screen_weights->scheme;
         if (scratch.scheme == tensor::QuantScheme::Asymmetric) {
             const auto zfirst =
-                task.screen_weights->zero_points.begin() + row0;
+                task.screen_weights->zero_points.begin() + src0;
             scratch.zero_points.assign(zfirst, zfirst + op.rows);
         }
         faultReadBuffer({reinterpret_cast<uint8_t *>(scratch.values.data()),
@@ -430,24 +435,19 @@ EnmcRank::filterTileFunctional(const TileOp &op)
         weights = &scratch;
     }
 
+    // Bias rows from the tile's first payload row on.
+    const std::span<const float> bias(task.screen_bias->data() + src0,
+                                      op.rows);
     for (uint64_t item = 0; item < task.batch; ++item) {
         const auto &yq = task.features_q[item];
         auto &logits = result_.logits[item];
-        // SIMD integer MAC; bit-exact vs. the reference int64 loop on
+        // SIMD integer MAC over the tile's rows [0, op.rows), in place or
+        // from the scratch copy; bit-exact vs. the reference int64 loop on
         // every dispatch target.
-        if (weights == task.screen_weights) {
-            tensor::gemvQuantizedRows(*task.screen_weights, yq.values,
-                                      yq.scale, *task.screen_bias, logits,
-                                      row0, row0 + op.rows);
-        } else {
-            // Scratch tile: rows are tile-local, so index the bias/logit
-            // spans from row0 and compute rows [0, op.rows).
-            tensor::gemvQuantizedRows(
-                *weights, yq.values, yq.scale,
-                std::span<const float>(task.screen_bias->data() + row0,
-                                       op.rows),
-                std::span<float>(logits.data() + row0, op.rows), 0, op.rows);
-        }
+        tensor::gemvQuantizedRows(
+            *weights, yq.values, yq.scale, bias,
+            std::span<float>(logits.data() + row0, op.rows), 0, op.rows,
+            weights == task.screen_weights ? src0 : 0);
         for (uint64_t r = row0; r < row0 + op.rows; ++r)
             if (logits[r] >= task.threshold)
                 emitCandidate(item, r);
@@ -486,15 +486,17 @@ void
 EnmcRank::screenerTick()
 {
     if (!feature_loaded_) {
-        feature_load_.pump(*dram_);
-        if (feature_load_.done())
+        acted_ |= feature_load_.pump(*dram_);
+        if (feature_load_.done()) {
             feature_loaded_ = true;
+            acted_ = true;
+        }
     }
     // Pump in-flight tile loads up to the prefetch window.
     uint64_t pumped = 0;
     for (auto &op : screen_ops_) {
         if (op.load_started && !op.load.done()) {
-            op.load.pump(*dram_);
+            acted_ |= op.load.pump(*dram_);
             if (++pumped >= cfg_.prefetch_tiles)
                 break;
         }
@@ -507,6 +509,7 @@ EnmcRank::screenerTick()
             for (auto &op : screen_ops_) {
                 if (op.compute_started && !op.compute_done) {
                     op.compute_done = true;
+                    acted_ = true;
                     break;
                 }
             }
@@ -530,6 +533,7 @@ EnmcRank::screenerTick()
                 op.weight_reserved = half;
                 op.psum_reserved = psum;
                 op.compute_started = true;
+                acted_ = true;
                 const uint64_t macs_per_row =
                     ceilDiv(task.reduced, cfg_.int4_macs);
                 screen_busy_ = crossDomain(
@@ -553,6 +557,7 @@ EnmcRank::screenerTick()
             screen_weight_sram_.release(front.weight_reserved);
             screen_psum_sram_.release(front.psum_reserved);
             screen_ops_.pop_front();
+            acted_ = true;
         }
     }
 }
@@ -566,6 +571,7 @@ EnmcRank::generatorTick()
         return;
     const auto [item, row] = cand_queue_.front();
     cand_queue_.pop_front();
+    acted_ = true;
     CandOp op;
     op.item = item;
     op.row = row;
@@ -587,7 +593,7 @@ EnmcRank::executorTick()
     uint64_t inflight = 0;
     for (auto &op : exec_ops_) {
         if (op.load_started && !op.load.done()) {
-            op.load.pump(*dram_);
+            acted_ |= op.load.pump(*dram_);
             ++inflight;
         }
     }
@@ -610,6 +616,7 @@ EnmcRank::executorTick()
                           bytes, dram::ReqType::Read, 64,
                           fault::Protection::Strong);
             op.load_started = true;
+            acted_ = true;
             result_.exec_bytes += bytes;
             ++inflight;
         }
@@ -623,7 +630,8 @@ EnmcRank::executorTick()
             exec_ops_.front().compute_started) {
             const CandOp &op = exec_ops_.front();
             if (task.functional()) {
-                const auto row = task.class_weights->row(op.row);
+                const uint64_t src = task.row_offset + op.row;
+                const auto row = task.class_weights->row(src);
                 if (faulty()) {
                     // The FP32 row streams through the fault + ECC model.
                     // Detected-uncorrectable words come back zeroed —
@@ -646,11 +654,11 @@ EnmcRank::executorTick()
                     result_.logits[op.item][op.row] =
                         tensor::dot(exec_row_scratch_,
                                     task.features[op.item]) +
-                        (*task.class_bias)[op.row];
+                        (*task.class_bias)[src];
                 } else {
                     const float logit =
                         tensor::dot(row, task.features[op.item]) +
-                        (*task.class_bias)[op.row];
+                        (*task.class_bias)[src];
                     result_.logits[op.item][op.row] = logit;
                 }
             }
@@ -659,12 +667,14 @@ EnmcRank::executorTick()
             // the output buffer until the asynchronous drain ships it.
             output_sram_.reserve(8);
             exec_ops_.pop_front();
+            acted_ = true;
         }
     }
     if (exec_busy_ == 0 && !exec_ops_.empty()) {
         CandOp &front = exec_ops_.front();
         if (!front.compute_started && front.load.done()) {
             front.compute_started = true;
+            acted_ = true;
             exec_busy_ = computeCycles(task.hidden, cfg_.fp32_macs);
             exec_busy_ = std::max<Cycles>(exec_busy_, 1);
         }
@@ -676,9 +686,10 @@ EnmcRank::sfuAndReturnTick()
 {
     // Asynchronous output drain: the output buffer streams results back
     // to the host as they are produced (16 B per command cycle, half the
-    // DQ rate — the other half carries host traffic).
-    if (output_sram_.occupied() > 0)
-        output_sram_.release(std::min<uint64_t>(output_sram_.occupied(), 16));
+    // DQ rate — the other half carries host traffic). Nothing waits on
+    // it, so it is a countdown like the busy timers.
+    output_sram_.release(
+        std::min(output_sram_.occupied(), kOutputDrainBytes));
 
     if (sfu_busy_ > 0) {
         --sfu_busy_;
@@ -687,8 +698,10 @@ EnmcRank::sfuAndReturnTick()
     if (return_requested_ && !return_done_) {
         if (return_busy_ > 0)
             --return_busy_;
-        if (return_busy_ == 0)
+        if (return_busy_ == 0) {
             return_done_ = true;
+            acted_ = true;
+        }
     }
 }
 
@@ -818,6 +831,71 @@ EnmcRank::takeResult()
     return std::move(result_);
 }
 
+bool
+EnmcRank::step()
+{
+    ENMC_ASSERT(prog_ != nullptr, "rank not started");
+    // A countdown that starts or expires acts too: a unit that ran before
+    // it in this cycle sees the change only in the next one.
+    const auto counting = [this] {
+        return std::array{host_stall_ > 0, screen_busy_ > 0,
+                          exec_busy_ > 0, sfu_busy_ > 0};
+    };
+    const auto before = counting();
+    acted_ = false;
+    hostIssue();
+    tick();
+    return acted_ || counting() != before;
+}
+
+void
+EnmcRank::skipQuietCycles(Cycles limit)
+{
+    if (limit <= now_)
+        return;
+    // A countdown that expires on the n-th next cycle leaves n - 1 quiet
+    // cycles; the n-th runs as a step(). Until then each unit sees the
+    // state that just made it do nothing.
+    Cycles span = limit - now_;
+    const auto expiresIn = [&span](Cycles n) {
+        span = std::min(span, n - 1);
+    };
+    expiresIn(dram_->nextEventCycle() - dram_->now());
+    if (host_stall_ > 0)
+        expiresIn(host_stall_);
+    if (screen_busy_ > 0)
+        expiresIn(screen_busy_);
+    if (exec_busy_ > 0)
+        expiresIn(exec_busy_);
+    // RETURN's countdown is frozen while the SFU runs.
+    const bool returning =
+        sfu_busy_ == 0 && return_requested_ && !return_done_;
+    if (sfu_busy_ > 0)
+        expiresIn(sfu_busy_);
+    else if (returning)
+        expiresIn(std::max<Cycles>(return_busy_, 1));
+    if (span == 0)
+        return;
+
+    now_ += span;
+    dram_->skipTo(dram_->now() + span);
+    host_stall_ -= std::min(host_stall_, span);
+    if (screen_busy_ > 0) {
+        screen_busy_ -= span;
+        result_.screener_busy += span;
+    }
+    if (exec_busy_ > 0) {
+        exec_busy_ -= span;
+        result_.executor_busy += span;
+    }
+    if (sfu_busy_ > 0)
+        sfu_busy_ -= span;
+    else if (returning)
+        return_busy_ -= span;
+    output_sram_.release(
+        std::min(output_sram_.occupied(), kOutputDrainBytes * span));
+}
+
 RankResult
 EnmcRank::run(const Program &prog, const RankTask &task, Cycles max_cycles)
 {
@@ -825,9 +903,10 @@ EnmcRank::run(const Program &prog, const RankTask &task, Cycles max_cycles)
     while (!done()) {
         if (now_ > max_cycles)
             ENMC_PANIC("ENMC rank watchdog: program did not finish");
-        // Internal host model: the rank owns the whole C/A bus.
-        hostIssue(prog);
-        tick();
+        // A skip stops at max_cycles + 1, where the per-cycle loop would
+        // also have panicked.
+        if (!step() && !done())
+            skipQuietCycles(max_cycles + 1);
     }
     return takeResult();
 }

@@ -50,12 +50,35 @@ class EnmcRank
      * Execute a host program against a task. Runs to completion and
      * returns results + statistics.
      *
+     * Equivalent to start() then step() until done(), but a step() that
+     * acts on nothing is followed by a jump over every cycle before the
+     * earliest countdown expiry or DRAM event (see step()), so the
+     * result, every stat and every fault stream index are those of the
+     * per-cycle loop.
+     *
      * @param prog Instruction stream as issued by the host compiler.
      * @param task Work descriptor (see RankTask).
-     * @param max_cycles Watchdog bound.
+     * @param max_cycles Watchdog bound: panics once cycle max_cycles + 1
+     *        has run without the program finishing.
      */
     RankResult run(const Program &prog, const RankTask &task,
                    Cycles max_cycles = 2'000'000'000ull);
+
+    /**
+     * One cycle of run() after start(): deliver at most one host
+     * instruction (the rank owns the whole C/A bus), then tick().
+     *
+     * @return true if the cycle changed state beyond the countdown
+     *         timers (an instruction delivered or attempted, dispatched
+     *         or generated; a request enqueued; a tile or candidate op
+     *         started or finished; a filter run; RETURN done; a
+     *         countdown started or expired). False
+     *         means every unit found nothing to do, and each later cycle
+     *         will too until a countdown (MAC array, SFU, RETURN drain,
+     *         host DQ stall) expires or the DRAM controller reaches its
+     *         nextEventCycle().
+     */
+    bool step();
 
     // ---- tick-level interface (multi-rank channel simulation) ----
 
@@ -104,6 +127,9 @@ class EnmcRank
 
     const dram::Controller &dramController() const { return *dram_; }
 
+    /** This rank's "enmc.rank" stats (folded in by takeResult()). */
+    const StatGroup &stats() const { return stats_; }
+
   private:
     // ---- screener pipeline ----
     struct TileOp
@@ -131,8 +157,17 @@ class EnmcRank
         uint64_t stage_reserved = 0; //!< SRAM bytes held while staged
     };
 
+    /** Output buffer bytes the asynchronous drain ships per cycle. */
+    static constexpr uint64_t kOutputDrainBytes = 16;
+
     void reset(const RankTask &task);
-    void hostIssue(const Program &prog);
+    void hostIssue();
+    /**
+     * After a step() that acted on nothing: advance every clock, countdown
+     * and busy counter over the quiet cycles that follow, stopping before
+     * the first cycle that may act and at cycle `limit` at the latest.
+     */
+    void skipQuietCycles(Cycles limit);
     void dispatch();
     bool dispatchOne(const Instruction &inst);
     void screenerTick();
@@ -227,6 +262,7 @@ class EnmcRank
     const RankTask *task_ = nullptr;
     RankResult result_;
     Cycles now_ = 0;
+    bool acted_ = false;   //!< this step() changed more than a countdown
 
     // Observability: per-rank stats, folded into the process-wide
     // "enmc.rank" aggregate when this (usually slice-lived) rank retires.

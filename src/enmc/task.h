@@ -54,14 +54,19 @@ struct RankTask
     Addr output_base = 0;
 
     // --- functional payloads (null => timing-only) ---
-    /** Quantized screener weights, rows = `categories`. */
+    // The rank reads this slice's rows in place: rows [row_offset,
+    // row_offset + categories) of each matrix and bias below. Its logits
+    // and candidate ids stay slice-local.
+    /** Quantized screener weights. */
     const tensor::QuantizedMatrix *screen_weights = nullptr;
-    /** Screener bias b~ for this slice. */
+    /** Screener bias b~. */
     const tensor::Vector *screen_bias = nullptr;
-    /** Full-precision classifier rows for this slice. */
+    /** Full-precision classifier weights. */
     const tensor::Matrix *class_weights = nullptr;
-    /** Full classifier bias for this slice. */
+    /** Full classifier bias. */
     const tensor::Vector *class_bias = nullptr;
+    /** First payload row of this slice. */
+    uint64_t row_offset = 0;
     /** Per-item quantized projected features y_q (length k each). */
     std::vector<tensor::QuantizedVector> features_q;
     /** Per-item raw hidden vectors h (length d each). */

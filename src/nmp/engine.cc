@@ -132,14 +132,39 @@ NmpEngine::streamPhase(uint64_t bytes, uint64_t mac_cycles, Addr base,
             xfer.pump(*dram_);
         if (busy > 0)
             --busy;
+        // The pump left the queue full or every line issued, so until the
+        // controller's next event only `busy` counts down; once the
+        // transfer is done, its expiry ends the loop. A skip stops where
+        // the watchdog would fire.
+        Cycles quiet = std::min(quietCycles(), max_cycles - now_);
+        if (bytes == 0 || xfer.done())
+            quiet = std::min(quiet, busy);
+        skip(quiet);
+        busy -= std::min(busy, quiet);
     }
     // Drain outstanding column accesses before the next phase (a single
     // compute unit cannot overlap phases).
     while (!dram_->idle()) {
+        skip(quietCycles());
         ++now_;
         dram_->tick();
     }
     res.cycles = now_;
+}
+
+Cycles
+NmpEngine::quietCycles() const
+{
+    return dram_->nextEventCycle() - dram_->now() - 1;
+}
+
+void
+NmpEngine::skip(Cycles n)
+{
+    if (n == 0)
+        return;
+    now_ += n;
+    dram_->skipTo(dram_->now() + n);
 }
 
 arch::RankResult
@@ -202,9 +227,12 @@ NmpEngine::run(const arch::RankTask &task, Cycles max_cycles)
     res.output_bytes = batch * 8 + cands * 8;
     const Cycles ret = ceilDiv(res.output_bytes, org_.accessBytes()) *
                        dram_->channel().timing().tbl;
-    for (Cycles i = 0; i < ret; ++i) {
+    for (Cycles left = ret; left > 0;) {
+        const Cycles quiet = std::min(quietCycles(), left - 1);
+        skip(quiet);
         ++now_;
         dram_->tick();
+        left -= quiet + 1;
     }
     res.dram_reads = dram_->channel().commandCount(dram::Cmd::Rd);
     res.dram_writes = dram_->channel().commandCount(dram::Cmd::Wr);

@@ -90,6 +90,11 @@ class NmpEngine
 
     Cycles macCycles(uint64_t macs, double efficiency) const;
 
+    /** Cycles before the DRAM controller's next event (all of them quiet). */
+    Cycles quietCycles() const;
+    /** Jump `n` quiet cycles ahead (n <= quietCycles()). */
+    void skip(Cycles n);
+
     /** Tally a finished run into the engine's stat group. */
     void recordRun(const arch::RankResult &res);
 

@@ -324,9 +324,10 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
                        : plain_backend;
 
     // Each slice is a self-contained rank simulation: workers build their
-    // own tensor slices and EnmcRank instance, park the RankResult in a
-    // per-slice slot, and the merge below walks the slots in slice order —
-    // so the output is bit-identical for any worker count.
+    // own EnmcRank instance over their rows of the shared (read-only)
+    // tensors, park the RankResult in a per-slice slot, and the merge
+    // below walks the slots in slice order — so the output is
+    // bit-identical for any worker count.
     // Maps slice index -> the physical rank simulating it (also the trace
     // track the slice's spans land on).
     auto sliceRankId = [&](size_t s) {
@@ -345,31 +346,6 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
         slice_span.arg("slice", static_cast<double>(s));
         slice_span.arg("rows", static_cast<double>(rows));
 
-        // Slice the screener + classifier tensors for this rank.
-        tensor::QuantizedMatrix wq_slice;
-        wq_slice.bits = wq.bits;
-        wq_slice.rows = rows;
-        wq_slice.cols = wq.cols;
-        wq_slice.values.assign(
-            wq.values.begin() + row0 * wq.cols,
-            wq.values.begin() + (row0 + rows) * wq.cols);
-        wq_slice.scales.assign(wq.scales.begin() + row0,
-                               wq.scales.begin() + row0 + rows);
-        wq_slice.scheme = wq.scheme;
-        if (wq.scheme == tensor::QuantScheme::Asymmetric)
-            wq_slice.zero_points.assign(wq.zero_points.begin() + row0,
-                                        wq.zero_points.begin() + row0 + rows);
-
-        tensor::Vector sb_slice(screener.bias().begin() + row0,
-                                screener.bias().begin() + row0 + rows);
-        tensor::Matrix cw_slice(rows, classifier.hidden());
-        for (uint64_t i = 0; i < rows; ++i) {
-            const auto src = classifier.weights().row(row0 + i);
-            std::copy(src.begin(), src.end(), cw_slice.row(i).begin());
-        }
-        tensor::Vector cb_slice(classifier.bias().begin() + row0,
-                                classifier.bias().begin() + row0 + rows);
-
         RankTask task;
         task.categories = rows;
         task.hidden = classifier.hidden();
@@ -379,10 +355,12 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
         task.sigmoid =
             classifier.normalization() == nn::Normalization::Sigmoid;
         task.threshold = screener.config().threshold - weak_margin;
-        task.screen_weights = &wq_slice;
-        task.screen_bias = &sb_slice;
-        task.class_weights = &cw_slice;
-        task.class_bias = &cb_slice;
+        // The rank reads its rows of the shared tensors in place.
+        task.screen_weights = &wq;
+        task.screen_bias = &screener.bias();
+        task.class_weights = &classifier.weights();
+        task.class_bias = &classifier.bias();
+        task.row_offset = row0;
         task.features_q = yq;
         task.features = h_batch;
 

@@ -239,13 +239,14 @@ namespace {
 void
 gemvAsymRows(const QuantizedMatrix &w, std::span<const int8_t> h,
              float hscale, std::span<const float> b, std::span<float> z,
-             size_t r0, size_t r1)
+             size_t r0, size_t r1, size_t w_offset)
 {
     int64_t hsum = 0;
     for (const int8_t v : h)
         hsum += v;
     for (size_t r = r0; r < r1; ++r) {
-        const int8_t *row = w.values.data() + r * w.cols;
+        const size_t wr = w_offset + r;
+        const int8_t *row = w.values.data() + wr * w.cols;
         int64_t acc = 0;
         // Weight codes are unsigned levels in int8 lanes (up to 255 at
         // INT8) — reinterpret, don't sign-extend. Activations stay
@@ -253,8 +254,8 @@ gemvAsymRows(const QuantizedMatrix &w, std::span<const int8_t> h,
         for (size_t c = 0; c < w.cols; ++c)
             acc += static_cast<int64_t>(static_cast<uint8_t>(row[c])) *
                    h[c];
-        acc -= static_cast<int64_t>(w.zero_points[r]) * hsum;
-        z[r] = static_cast<float>(acc) * w.scales[r] * hscale +
+        acc -= static_cast<int64_t>(w.zero_points[wr]) * hsum;
+        z[r] = static_cast<float>(acc) * w.scales[wr] * hscale +
                (b.empty() ? 0.0f : b[r]);
     }
 }
@@ -270,7 +271,7 @@ gemvQuantized(const QuantizedMatrix &w, const QuantizedVector &h,
                 "gemvQuantized: bias size mismatch");
     Vector z(w.rows);
     if (w.scheme == QuantScheme::Asymmetric) {
-        gemvAsymRows(w, h.values, h.scale, b, z, 0, w.rows);
+        gemvAsymRows(w, h.values, h.scale, b, z, 0, w.rows, 0);
         return z;
     }
     kernels::gemvQuantInto(w.values.data(), w.rows, w.cols,
@@ -281,18 +282,19 @@ gemvQuantized(const QuantizedMatrix &w, const QuantizedVector &h,
 void
 gemvQuantizedRows(const QuantizedMatrix &w, std::span<const int8_t> h,
                   float hscale, std::span<const float> b, std::span<float> z,
-                  size_t r0, size_t r1)
+                  size_t r0, size_t r1, size_t w_offset)
 {
     ENMC_ASSERT(w.cols == h.size(), "gemvQuantizedRows: dim mismatch");
-    ENMC_ASSERT(r0 <= r1 && r1 <= w.rows, "gemvQuantizedRows: bad row range");
+    ENMC_ASSERT(r0 <= r1 && w_offset + r1 <= w.rows,
+                "gemvQuantizedRows: bad row range");
     if (w.scheme == QuantScheme::Asymmetric) {
-        gemvAsymRows(w, h, hscale, b, z, r0, r1);
+        gemvAsymRows(w, h, hscale, b, z, r0, r1, w_offset);
         return;
     }
-    kernels::ops().gemvQuantRows(w.values.data(), w.cols, w.scales.data(),
-                                 h.data(), hscale,
-                                 b.empty() ? nullptr : b.data(), z.data(),
-                                 r0, r1);
+    kernels::ops().gemvQuantRows(w.values.data() + w_offset * w.cols, w.cols,
+                                 w.scales.data() + w_offset, h.data(),
+                                 hscale, b.empty() ? nullptr : b.data(),
+                                 z.data(), r0, r1);
 }
 
 } // namespace enmc::tensor

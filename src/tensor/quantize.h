@@ -149,10 +149,15 @@ Vector gemvQuantized(const QuantizedMatrix &w, const QuantizedVector &h,
  * z.size() == w.rows) gets the same bit-exact value gemvQuantized()
  * produces for that row. Used by the functional backend, which evaluates
  * per-bank row slices.
+ *
+ * With `w_offset`, output row r reads weight row w_offset + r (its
+ * scale and zero-point too) while z and b keep index r, so a slice of a
+ * larger matrix is screened in place.
  */
 void gemvQuantizedRows(const QuantizedMatrix &w, std::span<const int8_t> h,
                        float hscale, std::span<const float> b,
-                       std::span<float> z, size_t r0, size_t r1);
+                       std::span<float> z, size_t r0, size_t r1,
+                       size_t w_offset = 0);
 
 } // namespace enmc::tensor
 

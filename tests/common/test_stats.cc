@@ -38,6 +38,42 @@ TEST(ScalarStat, TracksMoments)
     EXPECT_DOUBLE_EQ(s.sum(), 6.0);
 }
 
+TEST(ScalarStat, BulkSampleEqualsRepeatedSamples)
+{
+    // Integer values with integer sums below 2^53 add exactly, so n
+    // samples at once must equal n single samples bit for bit.
+    ScalarStat bulk;
+    ScalarStat single;
+    const std::pair<double, uint64_t> runs[] = {
+        {7.0, 3}, {0.0, 5}, {64.0, 1000}, {3.0, 0}, {12.0, 1}, {1.0, 77}};
+    for (const auto &[v, n] : runs) {
+        bulk.sample(v, n);
+        for (uint64_t i = 0; i < n; ++i)
+            single.sample(v);
+        EXPECT_EQ(bulk.count(), single.count());
+        EXPECT_EQ(bulk.sum(), single.sum());
+        EXPECT_EQ(bulk.min(), single.min());
+        EXPECT_EQ(bulk.max(), single.max());
+    }
+    EXPECT_EQ(bulk.count(), 1086u);
+    EXPECT_EQ(bulk.min(), 0.0);
+    EXPECT_EQ(bulk.max(), 64.0);
+}
+
+TEST(ScalarStat, BulkSampleOfZeroLeavesAnEmptyStatEmpty)
+{
+    ScalarStat s;
+    s.sample(9.0, 0);
+    EXPECT_EQ(s.count(), 0u);
+    EXPECT_EQ(s.min(), 0.0);
+    EXPECT_EQ(s.max(), 0.0);
+    s.sample(-2.0, 4);
+    EXPECT_EQ(s.count(), 4u);
+    EXPECT_EQ(s.sum(), -8.0);
+    EXPECT_EQ(s.min(), -2.0);
+    EXPECT_EQ(s.max(), -2.0);
+}
+
 TEST(ScalarStat, SingleNegativeSample)
 {
     ScalarStat s;

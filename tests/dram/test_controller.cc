@@ -218,6 +218,58 @@ TEST_F(ControllerTest, RefreshCanBeDisabled)
     EXPECT_EQ(ctrl.stats().counter("refreshes").value(), 0u);
 }
 
+TEST_F(ControllerTest, NextEventIsTheRefreshDeadlineWhenIdle)
+{
+    EXPECT_EQ(ctrl_.nextEventCycle(), timing_.trefi);
+    ctrl_.skipTo(timing_.trefi - 1);
+    ctrl_.tick(); // the refresh falls due; its REF can issue at once
+    EXPECT_EQ(ctrl_.stats().counter("refreshes").value(), 1u);
+    EXPECT_EQ(ctrl_.nextEventCycle(), 2 * timing_.trefi);
+    EXPECT_EQ(ctrl_.stats().scalar("queueOccupancy").count(),
+              timing_.trefi);
+}
+
+TEST_F(ControllerTest, IdleWithoutRefreshHasNoNextEvent)
+{
+    ControllerConfig cfg;
+    cfg.refresh_enabled = false;
+    Controller ctrl(org_, timing_, cfg, "noref");
+    EXPECT_EQ(ctrl.nextEventCycle(), Channel::kNever);
+    // Nothing is ever due: a skip of any length is one step.
+    const Cycles far = 1'000'000'000'000ull;
+    ctrl.skipTo(far);
+    EXPECT_EQ(ctrl.now(), far);
+    EXPECT_EQ(ctrl.stats().scalar("queueOccupancy").count(), far);
+    EXPECT_EQ(ctrl.stats().scalar("queueOccupancy").sum(), 0.0);
+}
+
+TEST_F(ControllerTest, NextEventTracksQueuedWorkAndCompletions)
+{
+    std::vector<Cycles> done;
+    read(0x0, &done);
+    // A fresh request may issue its ACT on the next tick.
+    EXPECT_EQ(ctrl_.nextEventCycle(), 1u);
+    Cycles ticks = 0;
+    while (!ctrl_.idle()) {
+        ctrl_.skipTo(ctrl_.nextEventCycle() - 1);
+        ctrl_.tick();
+        ++ticks;
+    }
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(ctrl_.now(), done[0]);
+    // ACT, RD and the completion: one tick each, at most one more for a
+    // scan that wakes on the row becoming ready.
+    EXPECT_LE(ticks, 4u);
+    EXPECT_EQ(ctrl_.stats().scalar("queueOccupancy").count(), ctrl_.now());
+}
+
+TEST_F(ControllerTest, SkipToPastTheNextEventPanics)
+{
+    std::vector<Cycles> done;
+    read(0x0, &done);
+    EXPECT_DEATH(ctrl_.skipTo(5), "passes the next event");
+}
+
 TEST_F(ControllerTest, FrfcfsPrefersReadyRowHit)
 {
     // Prime: open row A in bank 0.
@@ -649,13 +701,49 @@ drive(Sched &sched, const std::vector<Traffic> &traffic, Enqueue enqueue)
     return cycles;
 }
 
-class ControllerDifferential : public ::testing::TestWithParam<DiffParam>
+/**
+ * drive(), but between arrivals the controller jumps over the cycles
+ * before its nextEventCycle() instead of ticking through them. Counts
+ * the ticks it ran in `ticks`.
+ */
+template <typename Enqueue>
+Cycles
+driveSkipping(Controller &ctrl, const std::vector<Traffic> &traffic,
+              Enqueue enqueue, Cycles &ticks)
 {
-};
+    const Cycles bound = 5'000'000;
+    size_t next = 0;
+    while (next < traffic.size() || !ctrl.idle()) {
+        while (next < traffic.size() &&
+               traffic[next].arrive <= ctrl.now() && enqueue(next)) {
+            ++next;
+        }
+        ctrl.tick();
+        ++ticks;
+        if (next == traffic.size() && ctrl.idle())
+            break;
+        // Stop where the next request arrives (or at once, when one is
+        // waiting for queue space): its enqueue must see that cycle.
+        Cycles to = ctrl.nextEventCycle() - 1;
+        if (next < traffic.size())
+            to = std::min(to, std::max(traffic[next].arrive, ctrl.now()));
+        ctrl.skipTo(std::min(to, bound));
+        if (ctrl.now() >= bound) {
+            ADD_FAILURE() << "failed to drain";
+            break;
+        }
+    }
+    return ctrl.now();
+}
 
-TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
+/**
+ * Drive the Controller (ticking every cycle, or skipping to its events)
+ * and ReferenceFrFcfs with the same traffic; every completion cycle and
+ * counter must agree.
+ */
+void
+expectMatchesReference(const DiffParam &p, bool skipping)
 {
-    const DiffParam p = GetParam();
     Organization org = singleRankOrg();
     org.ranks = p.ranks;
     org.mapping = p.mapping;
@@ -666,7 +754,7 @@ TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
 
     std::vector<Cycles> complete(n, 0);
     Controller ctrl(org, timing, cfg, "diff");
-    const Cycles drained = drive(ctrl, traffic, [&](size_t i) {
+    const auto enqueue = [&](size_t i) {
         Request req;
         req.addr = traffic[i].addr;
         req.type = traffic[i].type;
@@ -675,7 +763,14 @@ TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
             complete[r.id] = r.complete;
         };
         return ctrl.enqueue(std::move(req));
-    });
+    };
+    Cycles ticks = 0;
+    const Cycles drained = skipping
+                               ? driveSkipping(ctrl, traffic, enqueue, ticks)
+                               : drive(ctrl, traffic, enqueue);
+    if (skipping) {
+        EXPECT_LT(ticks, drained) << "no cycle was skipped";
+    }
 
     ReferenceFrFcfs ref(org, timing, cfg.queue_depth, n);
     const Cycles ref_drained = drive(ref, traffic, [&](size_t i) {
@@ -691,6 +786,8 @@ TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
     EXPECT_EQ(st.counter("rowMisses").value(), ref.row_misses);
     EXPECT_EQ(st.counter("rowConflicts").value(), ref.row_conflicts);
     EXPECT_EQ(st.counter("refreshes").value(), ref.refreshes);
+    // One occupancy sample per cycle, skipped or ticked.
+    EXPECT_EQ(st.scalar("queueOccupancy").count(), drained);
     for (Cmd c : {Cmd::Act, Cmd::Pre, Cmd::Rd, Cmd::Wr, Cmd::Ref}) {
         EXPECT_EQ(ctrl.channel().commandCount(c),
                   ref.channel().commandCount(c))
@@ -700,6 +797,20 @@ TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
     EXPECT_GE(ref.refreshes, 2u * p.ranks);
     EXPECT_GT(ref.row_hits, 0u);
     EXPECT_GT(ref.row_conflicts, 0u);
+}
+
+class ControllerDifferential : public ::testing::TestWithParam<DiffParam>
+{
+};
+
+TEST_P(ControllerDifferential, MatchesPerCycleReferenceScheduler)
+{
+    expectMatchesReference(GetParam(), /*skipping=*/false);
+}
+
+TEST_P(ControllerDifferential, SkippingMatchesPerCycleReferenceScheduler)
+{
+    expectMatchesReference(GetParam(), /*skipping=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "dram/controller.h"
 
@@ -27,9 +29,26 @@ class DramStress : public ::testing::TestWithParam<StressParam>
 {
 };
 
-TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
+/** What a stress run leaves observable. */
+struct StressOutcome
 {
-    const StressParam p = GetParam();
+    Cycles end = 0;
+    uint64_t issued = 0;
+    uint64_t completed = 0;
+    std::vector<uint64_t> counters; //!< every counter, in name order
+    double occupancy_sum = 0.0;
+    uint64_t occupancy_count = 0;
+    double latency_sum = 0.0;
+};
+
+/**
+ * 12000 rounds of one random request and one cycle each, then a drain.
+ * With `skipping`, the drain jumps over the quiet cycles before each of
+ * the controller's events instead of ticking through them.
+ */
+StressOutcome
+stressRun(const StressParam &p, bool skipping)
+{
     Organization org = Organization::paperTable3();
     org.channels = 1;
     org.ranks = p.ranks;
@@ -41,7 +60,7 @@ TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
     Controller ctrl(org, Timing::ddr4_2400(), cfg, "stress");
 
     Rng rng(p.ranks * 131 + p.bankgroups * 17 + p.banks);
-    uint64_t issued = 0, completed = 0;
+    StressOutcome out;
     const uint64_t span = org.bytesPerChannel();
     Addr stream_addr = 0;
     for (int round = 0; round < 12000; ++round) {
@@ -56,23 +75,55 @@ TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
         Request req;
         req.addr = addr;
         req.type = rng.uniform() < 0.3 ? ReqType::Write : ReqType::Read;
-        req.on_complete = [&completed](const Request &) { ++completed; };
+        req.on_complete = [&out](const Request &) { ++out.completed; };
         if (ctrl.enqueue(std::move(req)))
-            ++issued;
+            ++out.issued;
         ctrl.tick();
     }
-    Cycles guard = 0;
+    const Cycles drain_from = ctrl.now();
     while (!ctrl.idle()) {
+        if (skipping)
+            ctrl.skipTo(ctrl.nextEventCycle() - 1);
         ctrl.tick();
-        ASSERT_LT(++guard, 2'000'000u) << "failed to drain";
+        if (ctrl.now() - drain_from >= 2'000'000u) {
+            ADD_FAILURE() << "failed to drain";
+            break;
+        }
     }
-    EXPECT_EQ(completed, issued);
+    out.end = ctrl.now();
+    for (const auto &[name, c] : ctrl.stats().counters())
+        out.counters.push_back(c.value.value());
+    const ScalarStat &occ = ctrl.stats().scalar("queueOccupancy");
+    out.occupancy_sum = occ.sum();
+    out.occupancy_count = occ.count();
+    out.latency_sum = ctrl.stats().scalar("readLatency").sum();
+
+    EXPECT_EQ(out.completed, out.issued);
     EXPECT_EQ(ctrl.stats().counter("reads").value() +
                   ctrl.stats().counter("writes").value(),
-              issued);
+              out.issued);
     if (p.refresh) {
         EXPECT_GT(ctrl.stats().counter("refreshes").value(), 0u);
     }
+    return out;
+}
+
+TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
+{
+    stressRun(GetParam(), /*skipping=*/false);
+}
+
+TEST_P(DramStress, SkippingDrainMatchesTicking)
+{
+    const StressOutcome ticked = stressRun(GetParam(), false);
+    const StressOutcome skipped = stressRun(GetParam(), true);
+    EXPECT_EQ(skipped.end, ticked.end);
+    EXPECT_EQ(skipped.completed, ticked.completed);
+    EXPECT_EQ(skipped.counters, ticked.counters);
+    EXPECT_EQ(skipped.occupancy_sum, ticked.occupancy_sum);
+    EXPECT_EQ(skipped.occupancy_count, ticked.occupancy_count);
+    EXPECT_EQ(skipped.occupancy_count, skipped.end);
+    EXPECT_EQ(skipped.latency_sum, ticked.latency_sum);
 }
 
 INSTANTIATE_TEST_SUITE_P(

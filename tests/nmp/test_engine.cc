@@ -130,6 +130,30 @@ TEST(NmpEngine, PhaseSerializationSlowerThanEnmcOverlap)
     EXPECT_GE(r.cycles, screen_bound + exec_bound);
 }
 
+TEST(NmpEngineWatchdog, BoundIsTheLastCycleAPhaseMayRun)
+{
+    // runFull() ends on its last (softmax) phase's countdown, so a run of
+    // C cycles reaches cycle C inside a phase loop: it passes at
+    // max_cycles = C and trips the watchdog at C - 1. The quiet-cycle
+    // skips must land on that bound exactly. A fresh engine per run: the
+    // DRAM clock, and so the refresh phase, carries over between runs.
+    const arch::RankTask t = task(2048, 256, 64, 1, 16);
+    const auto run = [&](Cycles max_cycles) {
+        NmpEngine e = engine(EngineConfig::tensorDimm());
+        return e.runFull(t, max_cycles).cycles;
+    };
+    const Cycles c = run(20'000'000'000ull);
+    ASSERT_GT(c, 1000u);
+    EXPECT_EQ(run(c), c);
+    EXPECT_DEATH(run(c - 1), "NMP engine watchdog");
+}
+
+TEST(NmpEngineWatchdog, SmallBoundPanics)
+{
+    NmpEngine e = engine(EngineConfig::nda());
+    EXPECT_DEATH((void)e.run(task(), 100), "NMP engine watchdog");
+}
+
 TEST(NmpEngineDeathTest, FunctionalTaskRejected)
 {
     arch::RankTask t = task();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "runtime/system.h"
 #include "screening/pipeline.h"
@@ -184,6 +185,39 @@ TEST_F(FunctionalSystem, ReportsRankCycles)
                                        h_batch_, 4);
     EXPECT_GT(out.rank_cycles, 0u);
     EXPECT_GT(out.seconds, 0.0);
+}
+
+TEST_F(FunctionalSystem, OffsetShardReadsItsRowsInPlace)
+{
+    // A shard that starts mid-matrix, split over ranks whose slices start
+    // at odd rows: each rank reads its rows of the shared tensors in
+    // place, and every logit must equal the whole-matrix run's bit for
+    // bit, with the same candidates (global row ids).
+    EnmcSystem sys{SystemConfig{}};
+    const auto whole = sys.runFunctional(model_.classifier(), *screener_,
+                                         h_batch_, 4);
+    const uint64_t row_begin = 333;
+    const uint64_t row_count = 1001;
+    const auto shard = sys.runFunctionalRange(
+        model_.classifier(), *screener_, h_batch_, 3, row_begin, row_count);
+    ASSERT_EQ(shard.logits.size(), h_batch_.size());
+    for (size_t item = 0; item < h_batch_.size(); ++item) {
+        ASSERT_EQ(shard.logits[item].size(), row_count);
+        EXPECT_EQ(std::memcmp(shard.logits[item].data(),
+                              whole.logits[item].data() + row_begin,
+                              row_count * sizeof(float)),
+                  0)
+            << "item " << item;
+        std::vector<uint32_t> expect;
+        for (const uint32_t c : whole.candidates[item])
+            if (c >= row_begin && c < row_begin + row_count)
+                expect.push_back(c);
+        std::vector<uint32_t> got = shard.candidates[item];
+        std::sort(expect.begin(), expect.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expect) << "item " << item;
+        EXPECT_FALSE(got.empty()) << "item " << item;
+    }
 }
 
 /** A hand-built shard result: `rows` logits per item starting at
