@@ -31,7 +31,7 @@ RankTask::screenRowBytes() const
 
 EnmcRank::EnmcRank(const EnmcConfig &cfg, const dram::Organization &org,
                    const dram::Timing &timing)
-    : cfg_(cfg), org_(org),
+    : cfg_(cfg), org_(org), timing_(timing),
       screen_weight_sram_("screener.weight", cfg.screen_weight_buf),
       screen_psum_sram_("screener.psum", cfg.psum_buf),
       exec_stage_sram_("executor.stage",
@@ -63,9 +63,6 @@ EnmcRank::EnmcRank(const EnmcConfig &cfg, const dram::Organization &org,
 {
     ENMC_ASSERT(org.channels == 1 && org.ranks == 1,
                 "EnmcRank owns exactly one rank");
-    dram::ControllerConfig dcfg;
-    dram_ = std::make_unique<dram::Controller>(org, timing, dcfg,
-                                               "enmc.rank.dram");
 }
 
 uint64_t
@@ -78,7 +75,7 @@ Cycles
 EnmcRank::computeCycles(uint64_t macs_needed, uint64_t array_width) const
 {
     const Cycles logic = ceilDiv(macs_needed, array_width);
-    return crossDomain(logic, cfg_.freq_hz, dram_->channel().timing().freq_hz);
+    return crossDomain(logic, cfg_.freq_hz, timing_.freq_hz);
 }
 
 void
@@ -110,13 +107,15 @@ EnmcRank::reset(const RankTask &task)
     exec_row_scratch_.clear();
     fault_word_seq_ = 0;
     inst_attempts_ = 0;
-    // Per-rank ECC statistics surface through the rank's DRAM controller
-    // stat group; the functional data path below shares the same injector.
+    // A fresh DRAM controller per run: clock, refresh phase, open rows
+    // and counters all start at zero. Per-rank ECC statistics surface
+    // through its stat group; the functional data path below shares the
+    // same injector.
+    dram_ = std::make_unique<dram::Controller>(
+        org_, timing_, dram::ControllerConfig{}, "enmc.rank.dram");
     dram_->attachFaultInjector(task.injector);
     fault_base_ = task.injector ? task.injector->counters()
                                 : fault::FaultCounters{};
-    ecc_redundancy_base_ = dram_->eccRedundancyReads();
-    ecc_decode_base_ = dram_->eccDecodeCyclesCharged();
     screen_weight_sram_.clear();
     screen_psum_sram_.clear();
     exec_stage_sram_.clear();
@@ -195,15 +194,9 @@ EnmcRank::hostIssue()
         --host_stall_;
         return;
     }
-    if (host_pc_ >= prog_->size() || fifo_.size() >= cfg_.inst_fifo_depth)
-        return;
-    acted_ = true; // even a failed attempt draws from the C/A fault stream
-    if (!instructionDelivered())
-        return; // delivery failed; the host re-sends next cycle
-    const Instruction &inst = (*prog_)[host_pc_++];
-    if (inst.has_payload)
-        host_stall_ = dram_->channel().timing().tbl;
-    fifo_.push_back(inst);
+    // A failed delivery is re-sent next cycle.
+    if (tryDeliverInstruction() && fifo_.back().has_payload)
+        host_stall_ = timing_.tbl;
 }
 
 uint64_t
@@ -319,7 +312,7 @@ EnmcRank::dispatchOne(const Instruction &inst)
         sfu_busy_ = crossDomain(
             2 * ceilDiv(std::max<uint64_t>(result_.candidates, 1),
                         cfg_.sfu_lanes),
-            cfg_.freq_hz, dram_->channel().timing().freq_hz);
+            cfg_.freq_hz, timing_.freq_hz);
         return true;
       }
       case Opcode::Return: {
@@ -329,7 +322,7 @@ EnmcRank::dispatchOne(const Instruction &inst)
             task.batch * 8 + result_.candidates * 8;
         const uint64_t lines =
             ceilDiv(result_.output_bytes, org_.accessBytes());
-        return_busy_ = lines * dram_->channel().timing().tbl;
+        return_busy_ = lines * timing_.tbl;
         return true;
       }
       case Opcode::Clr:
@@ -538,7 +531,7 @@ EnmcRank::screenerTick()
                     ceilDiv(task.reduced, cfg_.int4_macs);
                 screen_busy_ = crossDomain(
                     op.rows * task.batch * macs_per_row, cfg_.freq_hz,
-                    dram_->channel().timing().freq_hz);
+                    timing_.freq_hz);
                 screen_busy_ = std::max<Cycles>(screen_busy_, 1);
                 break;
             }
@@ -765,8 +758,9 @@ EnmcRank::tryDeliverInstruction()
     ENMC_ASSERT(prog_ != nullptr, "rank not started");
     if (host_pc_ >= prog_->size() || fifo_.size() >= cfg_.inst_fifo_depth)
         return false;
+    acted_ = true; // even a failed attempt draws from the C/A fault stream
     if (!instructionDelivered())
-        return false; // C/A fault: the caller's arbitration loop retries
+        return false; // C/A fault: the caller retries next cycle
     fifo_.push_back((*prog_)[host_pc_++]);
     return true;
 }
@@ -807,10 +801,8 @@ EnmcRank::takeResult()
         result_.faults = task_->injector->counters();
         result_.faults -= fault_base_; // delta for shared streams
     }
-    result_.ecc_redundancy_reads =
-        dram_->eccRedundancyReads() - ecc_redundancy_base_;
-    result_.ecc_decode_cycles =
-        dram_->eccDecodeCyclesCharged() - ecc_decode_base_;
+    result_.ecc_redundancy_reads = dram_->eccRedundancyReads();
+    result_.ecc_decode_cycles = dram_->eccDecodeCyclesCharged();
     regs_[static_cast<size_t>(StatusReg::InstCount)] = result_.instructions;
 
     stat_instructions_ += result_.instructions;

@@ -125,6 +125,7 @@ class EnmcRank
     /** Read a status register (QUERY path, also used by tests). */
     uint64_t statusReg(StatusReg reg) const;
 
+    /** The current run's DRAM controller (built by start()). */
     const dram::Controller &dramController() const { return *dram_; }
 
     /** This rank's "enmc.rank" stats (folded in by takeResult()). */
@@ -199,6 +200,7 @@ class EnmcRank
 
     EnmcConfig cfg_;
     dram::Organization org_;
+    dram::Timing timing_;
     std::unique_ptr<dram::Controller> dram_;
 
     /** Hardware tile sequencer: emit the next tile's ops internally. */
@@ -242,8 +244,6 @@ class EnmcRank
     uint64_t fault_word_seq_ = 0;       //!< unique index per data word read
     uint64_t inst_attempts_ = 0;        //!< instruction delivery attempts
     fault::FaultCounters fault_base_;   //!< injector snapshot at reset()
-    uint64_t ecc_redundancy_base_ = 0;  //!< dram counter snapshot at reset()
-    uint64_t ecc_decode_base_ = 0;      //!< dram counter snapshot at reset()
 
     // SFU / output state
     Cycles sfu_busy_ = 0;

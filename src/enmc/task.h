@@ -130,6 +130,9 @@ struct RankResult
     std::vector<tensor::Vector> logits;
     /** Candidate indices (slice-local) per batch item. */
     std::vector<std::vector<uint32_t>> candidate_ids;
+
+    /** Field-for-field equality (logits compare as floats). */
+    bool operator==(const RankResult &) const = default;
 };
 
 } // namespace enmc::arch

@@ -150,6 +150,8 @@ struct FaultCounters
         uint64_t corrected = 0;
         uint64_t detected = 0;
         uint64_t escaped = 0;
+
+        bool operator==(const ClassCounters &) const = default;
     };
     ClassCounters per_class[kNumProtectionClasses];
 
@@ -165,6 +167,7 @@ struct FaultCounters
     FaultCounters &operator+=(const FaultCounters &o);
     /** Subtract a baseline snapshot (delta accounting for shared streams). */
     FaultCounters &operator-=(const FaultCounters &o);
+    bool operator==(const FaultCounters &) const = default;
 
     /** Every faulty word classified exactly once? */
     bool balanced() const

@@ -82,7 +82,7 @@ EngineConfig::tensorDimmLarge()
 
 NmpEngine::NmpEngine(const EngineConfig &cfg, const dram::Organization &org,
                      const dram::Timing &timing)
-    : cfg_(cfg), org_(org),
+    : cfg_(cfg), org_(org), timing_(timing),
       stats_(std::string("nmp.") + engineKindName(cfg.kind)),
       stat_runs_(stats_.addCounter("runs", "slice programs executed")),
       stat_candidates_(stats_.addCounter("candidates",
@@ -98,9 +98,6 @@ NmpEngine::NmpEngine(const EngineConfig &cfg, const dram::Organization &org,
 {
     ENMC_ASSERT(org.channels == 1 && org.ranks == 1,
                 "NmpEngine owns exactly one rank");
-    dram::ControllerConfig dcfg;
-    dram_ = std::make_unique<dram::Controller>(org, timing, dcfg,
-                                               "nmp.rank.dram");
 }
 
 Cycles
@@ -110,8 +107,7 @@ NmpEngine::macCycles(uint64_t macs, double efficiency) const
         std::max(1.0, cfg_.fp32_macs * efficiency);
     const Cycles logic =
         static_cast<Cycles>(ceilDiv(macs, static_cast<uint64_t>(eff_macs)));
-    return crossDomain(logic, cfg_.freq_hz,
-                       dram_->channel().timing().freq_hz);
+    return crossDomain(logic, cfg_.freq_hz, timing_.freq_hz);
 }
 
 void
@@ -172,6 +168,10 @@ NmpEngine::run(const arch::RankTask &task, Cycles max_cycles)
 {
     ENMC_ASSERT(!task.functional(),
                 "baseline engines are timing-only models");
+    // A fresh DRAM controller per run: clock, refresh phase, open rows
+    // and command counts all start at zero.
+    dram_ = std::make_unique<dram::Controller>(
+        org_, timing_, dram::ControllerConfig{}, "nmp.rank.dram");
     arch::RankResult res;
     now_ = 0;
     const double eff = cfg_.gemvEfficiency(task.batch);
@@ -225,56 +225,20 @@ NmpEngine::run(const arch::RankTask &task, Cycles max_cycles)
 
     // Phase 6: return results to the host.
     res.output_bytes = batch * 8 + cands * 8;
-    const Cycles ret = ceilDiv(res.output_bytes, org_.accessBytes()) *
-                       dram_->channel().timing().tbl;
+    const Cycles ret =
+        ceilDiv(res.output_bytes, org_.accessBytes()) * timing_.tbl;
     for (Cycles left = ret; left > 0;) {
-        const Cycles quiet = std::min(quietCycles(), left - 1);
+        // A skip stops where the watchdog would fire.
+        const Cycles quiet =
+            std::min({quietCycles(), left - 1,
+                      max_cycles - std::min(now_, max_cycles)});
         skip(quiet);
         ++now_;
+        if (now_ > max_cycles)
+            ENMC_PANIC("NMP engine watchdog expired");
         dram_->tick();
         left -= quiet + 1;
     }
-    res.dram_reads = dram_->channel().commandCount(dram::Cmd::Rd);
-    res.dram_writes = dram_->channel().commandCount(dram::Cmd::Wr);
-    res.dram_acts = dram_->channel().commandCount(dram::Cmd::Act);
-    res.dram_refs = dram_->channel().commandCount(dram::Cmd::Ref);
-    res.cycles = now_;
-    recordRun(res);
-    return res;
-}
-
-arch::RankResult
-NmpEngine::runFull(const arch::RankTask &task, Cycles max_cycles)
-{
-    arch::RankResult res;
-    now_ = 0;
-    const double eff = cfg_.gemvEfficiency(task.batch);
-    const uint64_t l = task.categories;
-    const uint64_t d = task.hidden;
-    const uint64_t batch = task.batch;
-
-    const uint64_t feat_bytes = batch * d * sizeof(float);
-    streamPhase(feat_bytes, 0, task.feature_base, dram::ReqType::Read, res,
-                max_cycles);
-
-    const uint64_t w_bytes = l * d * sizeof(float);
-    streamPhase(w_bytes, macCycles(l * batch * d, eff),
-                task.class_weight_base, dram::ReqType::Read, res,
-                max_cycles);
-    res.exec_bytes += feat_bytes + w_bytes;
-
-    const uint64_t psum_bytes = l * batch * sizeof(float);
-    if (psum_bytes > cfg_.buffer_bytes * cfg_.queues) {
-        streamPhase(psum_bytes, 0, task.output_base, dram::ReqType::Write,
-                    res, max_cycles);
-        streamPhase(psum_bytes, macCycles(l * batch, eff),
-                    task.output_base, dram::ReqType::Read, res, max_cycles);
-        res.exec_bytes += 2 * psum_bytes;
-    }
-
-    streamPhase(0, macCycles(l * batch * 5, eff), 0, dram::ReqType::Read,
-                res, max_cycles);
-    res.output_bytes = batch * 8 + l * 8 / 64; // top results only
     res.dram_reads = dram_->channel().commandCount(dram::Cmd::Rd);
     res.dram_writes = dram_->channel().commandCount(dram::Cmd::Wr);
     res.dram_acts = dram_->channel().commandCount(dram::Cmd::Act);

@@ -73,15 +73,6 @@ class NmpEngine
     arch::RankResult run(const arch::RankTask &task,
                          Cycles max_cycles = 20'000'000'000ull);
 
-    /**
-     * Run *full* classification (no screening) — the configuration the
-     * vanilla CPU baseline normalization of Fig. 13 also needs.
-     */
-    arch::RankResult runFull(const arch::RankTask &task,
-                             Cycles max_cycles = 20'000'000'000ull);
-
-    const dram::Controller &dramController() const { return *dram_; }
-
   private:
     /** Stream `bytes` while the MAC array needs `macs` operations. */
     void streamPhase(uint64_t bytes, uint64_t mac_cycles, Addr base,
@@ -100,6 +91,7 @@ class NmpEngine
 
     EngineConfig cfg_;
     dram::Organization org_;
+    dram::Timing timing_;
     std::unique_ptr<dram::Controller> dram_;
     Cycles now_ = 0;
 

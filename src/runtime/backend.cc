@@ -11,13 +11,6 @@
 
 namespace enmc::runtime {
 
-arch::RankResult
-Backend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    (void)task;
-    ENMC_PANIC("backend '", name(), "' does not support functional execution");
-}
-
 TimingResult
 Backend::runJob(const JobSpec &spec) const
 {
@@ -77,14 +70,6 @@ EnmcBackend::runSlice(const arch::RankTask &task) const
     return rank.run(job.program, task);
 }
 
-arch::RankResult
-EnmcBackend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    ENMC_ASSERT(task.functional(),
-                "functional slice needs tensor payloads attached");
-    return runSlice(task);
-}
-
 TimingResult
 EnmcBackend::runJob(const JobSpec &spec) const
 {
@@ -131,6 +116,8 @@ CpuBackend::sliceSeconds(const arch::RankTask &task) const
 arch::RankResult
 CpuBackend::runSlice(const arch::RankTask &task) const
 {
+    ENMC_ASSERT(!task.functional(),
+                "the CPU roofline is a timing-only model");
     const double seconds = sliceSeconds(task);
     arch::RankResult res;
     res.cycles = secondsToCycles(seconds, cfg_.timing.freq_hz);

@@ -44,16 +44,12 @@ class Backend
     /** Registry key ("enmc", "tensordimm", "cpu", ...). */
     virtual std::string name() const = 0;
 
-    /** Timing execution of one rank slice (payloads ignored/absent). */
-    virtual arch::RankResult runSlice(const arch::RankTask &task) const = 0;
-
     /**
-     * Functional execution of one rank slice (task carries tensor
-     * payloads). Panics unless the backend overrides it: only the ENMC
-     * rank model (and its resilient wrapper) executes functionally.
+     * Execute one rank slice. The slice is functional exactly when
+     * `task.functional()` (it carries tensor payloads); only the ENMC
+     * family executes those, every other backend panics on them.
      */
-    virtual arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const;
+    virtual arch::RankResult runSlice(const arch::RankTask &task) const = 0;
 
     /**
      * Full-job timing: partition the job across the system's ranks and
@@ -79,8 +75,6 @@ class EnmcBackend : public Backend
 
     std::string name() const override { return "enmc"; }
     arch::RankResult runSlice(const arch::RankTask &task) const override;
-    arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
 };
 

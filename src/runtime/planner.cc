@@ -320,23 +320,6 @@ OffloadPlanner::setAvailable(const std::string &name, bool available)
     setAvailableLocked(indexOf(name), available);
 }
 
-bool
-OffloadPlanner::isAvailable(size_t backend) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ENMC_ASSERT(backend < names_.size(), "backend index out of range");
-    return available_[backend];
-}
-
-double
-OffloadPlanner::estimateUs(const PlanBin &bin, size_t backend) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ENMC_ASSERT(backend < names_.size(), "backend index out of range");
-    const auto it = bins_.find(bin);
-    return it == bins_.end() ? -1.0 : it->second.estimate_us[backend];
-}
-
 int
 OffloadPlanner::argminEstimate(const PlanBin &bin) const
 {

@@ -158,13 +158,9 @@ class OffloadPlanner
     /** Mark a candidate (un)available; unavailable backends are never
      *  planned. Panics if nothing would remain available. */
     void setAvailable(const std::string &name, bool available);
-    bool isAvailable(size_t backend) const;
 
     const std::vector<std::string> &names() const { return names_; }
     size_t candidateCount() const { return names_.size(); }
-
-    /** Current EWMA estimate (us); negative if never observed. */
-    double estimateUs(const PlanBin &bin, size_t backend) const;
 
     /** Argmin estimate over available candidates; -1 before any
      *  observation in the bin. */

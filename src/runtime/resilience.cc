@@ -39,15 +39,9 @@ ResilientBackend::healthyRanks() const
 }
 
 arch::RankResult
-ResilientBackend::runWithRetry(const arch::RankTask &task,
-                               bool functional) const
+ResilientBackend::runSlice(const arch::RankTask &task) const
 {
-    auto execute = [&](const arch::RankTask &t) {
-        return functional ? inner_.runFunctionalSlice(t)
-                          : inner_.runSlice(t);
-    };
-
-    arch::RankResult res = execute(task);
+    arch::RankResult res = inner_.runSlice(task);
     fault::FaultInjector *injector = task.injector;
     if (injector == nullptr || !injector->enabled()) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -85,7 +79,7 @@ ResilientBackend::runWithRetry(const arch::RankTask &task,
             injector->stream() + (retries << 32));
         arch::RankTask retry_task = task;
         retry_task.injector = &retry_injector;
-        res = execute(retry_task);
+        res = inner_.runSlice(retry_task);
         injector->counters() += retry_injector.counters();
     }
     res.cycles += penalty;
@@ -104,18 +98,6 @@ ResilientBackend::runWithRetry(const arch::RankTask &task,
             ++stat_degraded_;
     }
     return res;
-}
-
-arch::RankResult
-ResilientBackend::runSlice(const arch::RankTask &task) const
-{
-    return runWithRetry(task, /*functional=*/false);
-}
-
-arch::RankResult
-ResilientBackend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    return runWithRetry(task, /*functional=*/true);
 }
 
 TimingResult

@@ -42,21 +42,17 @@ class ResilientBackend : public Backend
 
     std::string name() const override { return "enmc-resilient"; }
 
-    /** Timing slice with retry accounting (see runFunctionalSlice). */
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
-
     /**
-     * Functional slice with retry-with-backoff: while the rank reports
-     * detected-uncorrectable words, re-execute with a fresh per-attempt
-     * fault stream (counters merge back into the task's injector), up to
-     * `resilience.max_retries` times; each retry adds a doubling cycle
-     * penalty. Exhausted retries degrade (approximate-only logits for the
-     * affected candidates) when `resilience.degrade`, else panic. Stuck
-     * ranks are not retried — they fail deterministically and are the
-     * blacklisting path's job.
+     * One slice (timing or functional) with retry-with-backoff: while the
+     * rank reports detected-uncorrectable words, re-execute with a fresh
+     * per-attempt fault stream (counters merge back into the task's
+     * injector), up to `resilience.max_retries` times; each retry adds a
+     * doubling cycle penalty. Exhausted retries degrade (approximate-only
+     * logits for the affected candidates) when `resilience.degrade`, else
+     * panic. Stuck ranks are not retried — they fail deterministically
+     * and are the blacklisting path's job.
      */
-    arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const override;
+    arch::RankResult runSlice(const arch::RankTask &task) const override;
 
     /**
      * Full-job timing over the *healthy* ranks only: blacklisted ranks
@@ -83,9 +79,6 @@ class ResilientBackend : public Backend
     std::vector<uint32_t> healthyRanks() const;
 
   private:
-    arch::RankResult runWithRetry(const arch::RankTask &task,
-                                  bool functional) const;
-
     EnmcBackend inner_;
 
     // Policy-layer stats ("runtime.resilient"). Slices run concurrently

@@ -1,6 +1,7 @@
 #include "runtime/system.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -15,6 +16,83 @@ namespace enmc::runtime {
 
 using arch::RankResult;
 using arch::RankTask;
+
+namespace {
+
+/**
+ * Reconstruct one rank's simulated timeline (screen || exec on the DDR
+ * clock) as trace spans on the kSimPid timeline: the screener streams
+ * from cycle 0, the executor's busy window ends at the slice's last
+ * cycle, and the filter handoff is the instant the screener goes idle.
+ */
+void
+traceRankTimeline(const RankResult &rr, uint32_t rank_id, uint64_t rows,
+                  double freq_hz)
+{
+    obs::Tracer &tracer = obs::Tracer::instance();
+    if (!tracer.enabled())
+        return;
+    const double us_per_cycle = 1e6 / freq_hz;
+    const double end_us = rr.cycles * us_per_cycle;
+    const double screen_us = rr.screener_busy * us_per_cycle;
+    const double exec_us = rr.executor_busy * us_per_cycle;
+    const double candidates = static_cast<double>(rr.candidates);
+    tracer.complete("screen", "sim", obs::kSimPid, rank_id, 0.0, screen_us,
+                    {{"rows", static_cast<double>(rows)}});
+    tracer.instant("filter", "sim", obs::kSimPid, rank_id, screen_us,
+                   {{"candidates", candidates}});
+    tracer.complete("exec", "sim", obs::kSimPid, rank_id, end_us - exec_us,
+                    exec_us, {{"candidates", candidates}});
+}
+
+/**
+ * Concatenate results given in row order (each owning the rows that
+ * follow the previous one's): logits concatenate, candidates append,
+ * timing is the slowest part's, fault/ECC counters sum and
+ * `slice_cycles` concatenate. `probabilities` are left untouched.
+ */
+EnmcSystem::FunctionalResult
+concatenate(std::vector<EnmcSystem::FunctionalResult> parts)
+{
+    ENMC_ASSERT(!parts.empty(), "gather of zero shards");
+    const size_t batch = parts.front().logits.size();
+    size_t rows = 0;
+    for (const EnmcSystem::FunctionalResult &part : parts) {
+        ENMC_ASSERT(part.logits.size() == batch &&
+                        part.candidates.size() == batch,
+                    "shards disagree on the batch size");
+        rows += batch == 0 ? 0 : part.logits.front().size();
+    }
+    EnmcSystem::FunctionalResult out = std::move(parts.front());
+    for (tensor::Vector &z : out.logits)
+        z.reserve(rows);
+    for (size_t p = 1; p < parts.size(); ++p) {
+        const EnmcSystem::FunctionalResult &part = parts[p];
+        for (size_t item = 0; item < batch; ++item) {
+            out.logits[item].insert(out.logits[item].end(),
+                                    part.logits[item].begin(),
+                                    part.logits[item].end());
+            out.candidates[item].insert(out.candidates[item].end(),
+                                        part.candidates[item].begin(),
+                                        part.candidates[item].end());
+        }
+        out.rank_cycles = std::max(out.rank_cycles, part.rank_cycles);
+        out.seconds = std::max(out.seconds, part.seconds);
+        out.faults += part.faults;
+        out.uncorrectable_words += part.uncorrectable_words;
+        out.uncorrectable_weak_words += part.uncorrectable_weak_words;
+        out.uncorrectable_strong_words += part.uncorrectable_strong_words;
+        out.ecc_redundancy_reads += part.ecc_redundancy_reads;
+        out.ecc_decode_cycles += part.ecc_decode_cycles;
+        out.degraded_candidates += part.degraded_candidates;
+        out.slice_cycles.insert(out.slice_cycles.end(),
+                                part.slice_cycles.begin(),
+                                part.slice_cycles.end());
+    }
+    return out;
+}
+
+} // namespace
 
 EnmcSystem::EnmcSystem(const SystemConfig &cfg)
     : cfg_(cfg),
@@ -145,24 +223,8 @@ EnmcSystem::runRank(const RankTask &task, uint64_t ranks) const
     res.ranks = ranks;
     res.seconds = cyclesToSeconds(res.rank_cycles, cfg_.timing.freq_hz);
     recordSlice(res.rank);
-
-    // The representative rank's simulated screen/exec busy windows on the
-    // DDR-clock timeline (same reconstruction as the functional path).
-    obs::Tracer &tracer = obs::Tracer::instance();
-    if (tracer.enabled()) {
-        const double us_per_cycle = 1e6 / cfg_.timing.freq_hz;
-        const double end_us = res.rank.cycles * us_per_cycle;
-        const double screen_us = res.rank.screener_busy * us_per_cycle;
-        const double exec_us = res.rank.executor_busy * us_per_cycle;
-        const uint32_t rank_id = task.rank_index;
-        tracer.complete("screen", "sim", obs::kSimPid, rank_id, 0.0,
-                        screen_us);
-        tracer.instant("filter", "sim", obs::kSimPid, rank_id, screen_us,
-                       {{"candidates",
-                         static_cast<double>(res.rank.candidates)}});
-        tracer.complete("exec", "sim", obs::kSimPid, rank_id,
-                        end_us - exec_us, exec_us);
-    }
+    traceRankTimeline(res.rank, task.rank_index, task.categories,
+                      cfg_.timing.freq_hz);
     return res;
 }
 
@@ -317,11 +379,11 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
 
     const std::vector<RowSlice> slices =
         RankPartitioner::partition(row_begin, row_count, ranks);
-    const EnmcBackend plain_backend(cfg_);
-    const ResilientBackend resilient_backend(cfg_);
-    const Backend &backend =
-        cfg_.resilient ? static_cast<const Backend &>(resilient_backend)
-                       : plain_backend;
+    std::unique_ptr<const Backend> backend;
+    if (cfg_.resilient)
+        backend = std::make_unique<ResilientBackend>(cfg_);
+    else
+        backend = std::make_unique<EnmcBackend>(cfg_);
 
     // Each slice is a self-contained rank simulation: workers build their
     // own EnmcRank instance over their rows of the shared (read-only)
@@ -376,7 +438,7 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
         if (cfg_.fault.enabled)
             task.injector = &injector;
 
-        results[s] = backend.runFunctionalSlice(task);
+        results[s] = backend->runSlice(task);
         // The slice injector accumulates every attempt (retries merge
         // their counters back into it); the result's own delta only
         // covers the final attempt.
@@ -384,71 +446,46 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
             results[s].faults = injector.counters();
     });
 
+    // Each slice becomes a one-slice result over its own rows (candidate
+    // ids made global), concatenated in slice order.
     FunctionalResult out;
-    out.logits.assign(batch, tensor::Vector(row_count, 0.0f));
-    out.candidates.assign(batch, {});
     {
         obs::TraceSpan merge_span("merge", "pipeline");
+        std::vector<FunctionalResult> parts(slices.size());
         for (size_t s = 0; s < slices.size(); ++s) {
-            const uint64_t row0 = slices[s].begin;
-            const RankResult &rr = results[s];
-            out.rank_cycles = std::max(out.rank_cycles, rr.cycles);
-            out.faults += rr.faults;
-            out.uncorrectable_words += rr.uncorrectable_words;
-            out.uncorrectable_weak_words += rr.uncorrectable_weak_words;
-            out.uncorrectable_strong_words += rr.uncorrectable_strong_words;
-            out.ecc_redundancy_reads += rr.ecc_redundancy_reads;
-            out.ecc_decode_cycles += rr.ecc_decode_cycles;
-            out.degraded_candidates += rr.degraded_candidates;
-            out.slice_cycles.push_back(rr.cycles);
+            RankResult &rr = results[s];
             recordSlice(rr);
-            for (uint64_t item = 0; item < batch; ++item) {
-                std::copy(rr.logits[item].begin(), rr.logits[item].end(),
-                          out.logits[item].begin() + (row0 - row_begin));
-                for (uint32_t c : rr.candidate_ids[item])
-                    out.candidates[item].push_back(
-                        static_cast<uint32_t>(row0 + c));
-            }
+            FunctionalResult &part = parts[s];
+            part.logits = std::move(rr.logits);
+            part.candidates = std::move(rr.candidate_ids);
+            for (std::vector<uint32_t> &ids : part.candidates)
+                for (uint32_t &c : ids)
+                    c += static_cast<uint32_t>(slices[s].begin);
+            part.rank_cycles = rr.cycles;
+            part.seconds = cyclesToSeconds(rr.cycles, cfg_.timing.freq_hz);
+            part.faults = rr.faults;
+            part.uncorrectable_words = rr.uncorrectable_words;
+            part.uncorrectable_weak_words = rr.uncorrectable_weak_words;
+            part.uncorrectable_strong_words = rr.uncorrectable_strong_words;
+            part.ecc_redundancy_reads = rr.ecc_redundancy_reads;
+            part.ecc_decode_cycles = rr.ecc_decode_cycles;
+            part.degraded_candidates = rr.degraded_candidates;
+            part.slice_cycles = {rr.cycles};
         }
+        out = concatenate(std::move(parts));
     }
-    out.seconds = cyclesToSeconds(out.rank_cycles, cfg_.timing.freq_hz);
 
     // Load-imbalance histogram: each slice's cycles relative to the
     // slowest slice (1.0 = critical path).
     if (out.rank_cycles > 0) {
-        for (size_t s = 0; s < slices.size(); ++s)
-            stat_slice_skew_.sample(
-                static_cast<double>(results[s].cycles) /
-                static_cast<double>(out.rank_cycles));
+        for (const Cycles c : out.slice_cycles)
+            stat_slice_skew_.sample(static_cast<double>(c) /
+                                    static_cast<double>(out.rank_cycles));
     }
 
-    // Reconstruct each rank's simulated timeline (screen || exec on the
-    // DDR clock) as trace spans on the kSimPid timeline: the screener
-    // streams from cycle 0, the executor's busy window ends at the
-    // slice's last cycle, and the filter handoff is the instant the
-    // screener goes idle.
-    obs::Tracer &tracer = obs::Tracer::instance();
-    if (tracer.enabled()) {
-        const double us_per_cycle = 1e6 / cfg_.timing.freq_hz;
-        for (size_t s = 0; s < slices.size(); ++s) {
-            const RankResult &rr = results[s];
-            const uint32_t rank_id = sliceRankId(s);
-            const double end_us = rr.cycles * us_per_cycle;
-            const double screen_us = rr.screener_busy * us_per_cycle;
-            const double exec_us = rr.executor_busy * us_per_cycle;
-            tracer.complete("screen", "sim", obs::kSimPid, rank_id, 0.0,
-                            screen_us,
-                            {{"rows", static_cast<double>(slices[s].rows)}});
-            tracer.instant("filter", "sim", obs::kSimPid, rank_id,
-                           screen_us,
-                           {{"candidates",
-                             static_cast<double>(rr.candidates)}});
-            tracer.complete("exec", "sim", obs::kSimPid, rank_id,
-                            end_us - exec_us, exec_us,
-                            {{"candidates",
-                              static_cast<double>(rr.candidates)}});
-        }
-    }
+    for (size_t s = 0; s < slices.size(); ++s)
+        traceRankTimeline(results[s], sliceRankId(s), slices[s].rows,
+                          cfg_.timing.freq_hz);
     return out;
 }
 
@@ -469,45 +506,10 @@ EnmcSystem::FunctionalResult
 gatherShards(std::vector<EnmcSystem::FunctionalResult> parts,
              nn::Normalization norm)
 {
-    ENMC_ASSERT(!parts.empty(), "gather of zero shards");
-    const size_t batch = parts.front().logits.size();
-    size_t rows = 0;
-    for (const EnmcSystem::FunctionalResult &part : parts) {
-        ENMC_ASSERT(part.logits.size() == batch &&
-                        part.candidates.size() == batch,
-                    "shards disagree on the batch size");
-        rows += batch == 0 ? 0 : part.logits.front().size();
-    }
-    EnmcSystem::FunctionalResult out = std::move(parts.front());
-    for (tensor::Vector &z : out.logits)
-        z.reserve(rows);
-    for (size_t p = 1; p < parts.size(); ++p) {
-        const EnmcSystem::FunctionalResult &part = parts[p];
-        for (size_t item = 0; item < batch; ++item) {
-            out.logits[item].insert(out.logits[item].end(),
-                                    part.logits[item].begin(),
-                                    part.logits[item].end());
-            out.candidates[item].insert(out.candidates[item].end(),
-                                        part.candidates[item].begin(),
-                                        part.candidates[item].end());
-        }
-        out.rank_cycles = std::max(out.rank_cycles, part.rank_cycles);
-        out.seconds = std::max(out.seconds, part.seconds);
-        out.faults += part.faults;
-        out.uncorrectable_words += part.uncorrectable_words;
-        out.uncorrectable_weak_words += part.uncorrectable_weak_words;
-        out.uncorrectable_strong_words += part.uncorrectable_strong_words;
-        out.ecc_redundancy_reads += part.ecc_redundancy_reads;
-        out.ecc_decode_cycles += part.ecc_decode_cycles;
-        out.degraded_candidates += part.degraded_candidates;
-        out.slice_cycles.insert(out.slice_cycles.end(),
-                                part.slice_cycles.begin(),
-                                part.slice_cycles.end());
-    }
-
+    EnmcSystem::FunctionalResult out = concatenate(std::move(parts));
     // Root normalization, once over the gathered logits (SFU Taylor-4).
     out.probabilities.clear();
-    out.probabilities.reserve(batch);
+    out.probabilities.reserve(out.logits.size());
     for (const tensor::Vector &z : out.logits)
         out.probabilities.push_back(nn::normalizeTaylor(z, norm));
     return out;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Quiet-cycle skipping in EnmcRank::run() against the per-cycle step()
- * loop it replaces, and the watchdog bound both loops share.
+ * loop it replaces, the watchdog bound both loops share, and repeated
+ * runs on one rank.
  *
  * run() jumps over cycles in which no unit can act. The contract is that
  * nothing observable moves: every RankResult field, the logits and
@@ -359,6 +360,33 @@ skipCases()
 INSTANTIATE_TEST_SUITE_P(Random, RankSkipDifferential,
                          ::testing::ValuesIn(skipCases()), caseName);
 
+// ---------------------------------------------------------------- reuse
+
+TEST(RankReuse, SecondRunOfOneRankRepeatsTheFirst)
+{
+    // start() builds a fresh DRAM controller, so a second run() on one
+    // rank starts on cycle 0 with a fresh refresh phase, closed rows and
+    // zeroed counters (ECC redundancy reads and decode cycles included).
+    const SkipCase c{7, tensor::QuantBits::Int4,
+                     tensor::QuantScheme::Symmetric, false, 4, true,
+                     Faults::EccOverhead, true};
+    Payload payload;
+    RankTask task = randomTask(c, payload);
+    fault::FaultInjector injector(faultConfig(c.faults, c.seed), 0);
+    task.injector = &injector;
+    EnmcConfig cfg;
+    EnmcRank rank(cfg, rankOrg(), dram::Timing::ddr4_2400());
+    const auto job = runtime::compileClassification(task, cfg);
+    const RankResult first = rank.run(job.program, task);
+    const RankResult second = rank.run(job.program, task);
+    EXPECT_GT(first.dram_refs, 0u);
+    EXPECT_GT(first.ecc_redundancy_reads, 0u);
+    EXPECT_EQ(second.cycles, first.cycles);
+    EXPECT_EQ(second.dram_reads, first.dram_reads);
+    EXPECT_EQ(second.ecc_redundancy_reads, first.ecc_redundancy_reads);
+    EXPECT_TRUE(second == first);
+}
+
 // ------------------------------------------------------------- watchdogs
 
 RankTask
@@ -384,8 +412,6 @@ TEST(RankWatchdog, BoundIsTheLastCycleTheLoopMayStart)
     const RankTask task = timingTask();
     EnmcConfig cfg;
     const auto job = runtime::compileClassification(task, cfg);
-    // A fresh rank per run: the DRAM clock, and so the refresh phase,
-    // carries over from one run to the next.
     const auto run = [&](Cycles max_cycles) {
         EnmcRank rank(cfg, rankOrg(), dram::Timing::ddr4_2400());
         return rank.run(job.program, task, max_cycles).cycles;

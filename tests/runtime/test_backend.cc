@@ -10,12 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <span>
 
+#include "common/rng.h"
 #include "runtime/backend.h"
 #include "runtime/partition.h"
 #include "runtime/system.h"
 #include "screening/trainer.h"
+#include "tensor/quantize.h"
 #include "workloads/synthetic.h"
 
 namespace enmc::runtime {
@@ -105,35 +109,99 @@ TEST(BackendRegistry, DuplicateRegistrationReplacesTheFactory)
     EXPECT_EQ(*second_calls, 1);
 }
 
+/** A small payload-carrying rank slice; it owns the tensors it points at. */
+struct FunctionalSlice
+{
+    static constexpr uint64_t kBatch = 2;
+
+    tensor::QuantizedMatrix screen;
+    tensor::Vector screen_bias;
+    tensor::Matrix class_weights;
+    tensor::Vector class_bias;
+    arch::RankTask task;
+
+    FunctionalSlice()
+    {
+        Rng rng(5);
+        const auto fill = [&rng](std::span<float> v) {
+            for (float &x : v)
+                x = static_cast<float>(rng.normal());
+        };
+        const auto normals = [&fill](size_t n) {
+            tensor::Vector v(n);
+            fill(v);
+            return v;
+        };
+        task.categories = 256;
+        task.hidden = 32;
+        task.reduced = 16;
+        task.batch = kBatch;
+        task.threshold = 1.0f;
+        tensor::Matrix ws(task.categories, task.reduced);
+        class_weights = tensor::Matrix(task.categories, task.hidden);
+        for (size_t r = 0; r < task.categories; ++r) {
+            fill(ws.row(r));
+            fill(class_weights.row(r));
+        }
+        screen = tensor::quantize(ws, task.quant);
+        screen_bias = normals(task.categories);
+        class_bias = normals(task.categories);
+        task.screen_weights = &screen;
+        task.screen_bias = &screen_bias;
+        task.class_weights = &class_weights;
+        task.class_bias = &class_bias;
+        for (uint64_t i = 0; i < kBatch; ++i) {
+            task.features.push_back(normals(task.hidden));
+            task.features_q.push_back(
+                tensor::quantize(normals(task.reduced), task.quant));
+        }
+        TaskLayout::assign(task);
+    }
+    FunctionalSlice(const FunctionalSlice &) = delete;
+    FunctionalSlice &operator=(const FunctionalSlice &) = delete;
+};
+
 TEST(BackendRegistry, FunctionalCapabilityIsTheEnmcFamilyOnly)
 {
-    // Given a slice without payloads, the ENMC family takes it and asks
-    // for the payloads; every other registry backend refuses outright.
-    arch::RankTask task;
-    task.categories = 16;
-    task.hidden = 32;
-    task.reduced = 8;
+    // runSlice on a payload-carrying task: the ENMC family executes it
+    // (with faults off the resilient wrapper is bit-identical to the
+    // plain rank model); every other registry backend refuses it.
+    const FunctionalSlice slice;
+    ASSERT_TRUE(slice.task.functional());
+    const arch::RankResult plain =
+        createBackend("enmc")->runSlice(slice.task);
+    const arch::RankResult resilient =
+        createBackend("enmc-resilient")->runSlice(slice.task);
+    EXPECT_GT(plain.candidates, 0u);
+    EXPECT_EQ(plain.candidate_ids, resilient.candidate_ids);
+    ASSERT_EQ(plain.logits.size(), FunctionalSlice::kBatch);
+    ASSERT_EQ(resilient.logits.size(), FunctionalSlice::kBatch);
+    for (uint64_t i = 0; i < FunctionalSlice::kBatch; ++i) {
+        ASSERT_EQ(plain.logits[i].size(), slice.task.categories);
+        ASSERT_EQ(resilient.logits[i].size(), slice.task.categories);
+        EXPECT_EQ(std::memcmp(plain.logits[i].data(),
+                              resilient.logits[i].data(),
+                              plain.logits[i].size() * sizeof(float)),
+                  0)
+            << "item " << i;
+    }
+
     for (const auto &name : backendNames()) {
-        if (name.rfind("test-", 0) == 0)
+        if (name.rfind("test-", 0) == 0 || name == "enmc" ||
+            name == "enmc-resilient")
             continue;
-        const bool enmc = name == "enmc" || name == "enmc-resilient";
         const auto backend = createBackend(name);
-        EXPECT_DEATH((void)backend->runFunctionalSlice(task),
-                     enmc ? "needs tensor payloads"
-                          : "does not support functional")
+        EXPECT_DEATH((void)backend->runSlice(slice.task),
+                     name == "auto" ? "plans whole jobs" : "timing-only")
             << name;
     }
 }
 
 TEST(BackendRegistry, NonFunctionalBackendRefusesFunctionalSlices)
 {
+    const FunctionalSlice slice;
     const auto backend = createBackend("tensordimm");
-    arch::RankTask task;
-    task.categories = 16;
-    task.hidden = 32;
-    task.reduced = 8;
-    EXPECT_DEATH((void)backend->runFunctionalSlice(task),
-                 "does not support functional");
+    EXPECT_DEATH((void)backend->runSlice(slice.task), "timing-only");
 }
 
 // ---------------------------------------------------------- determinism
